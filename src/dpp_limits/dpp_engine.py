@@ -58,7 +58,10 @@ class ValidatedDpp:
     """A kernel that passed the eigenvalue existence check.
 
     Carries the (clamped) eigendecomposition used by the sampler.  The
-    eigenvalues are ascending; ties keep the decomposition order.
+    eigenvalues are ascending, all ``n`` of them; ties keep the
+    decomposition order.  The eigenvectors pair with the top eigenvalues:
+    all ``n`` columns for a dense kernel, the ``m`` columns of the nonzero
+    part for a factored one, whose other ``n - m`` eigenvalues are 0.
     """
 
     def __init__(
@@ -72,6 +75,10 @@ class ValidatedDpp:
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         n = kernel.n
+        # eigenvalue index of the first eigenvector column
+        self._offset = n - eigenvectors.shape[1]
+        if eigenvalues[: self._offset].any():
+            raise ValueError("eigenvalues without an eigenvector must be 0")
         q = np.clip(eigenvalues / n, 0.0, 1.0) if n else np.empty(0)
         q[q > 1.0 - PROJECTION_SNAP] = 1.0
         q[q < PROJECTION_SNAP] = 0.0
@@ -95,20 +102,34 @@ class ValidatedDpp:
     def projection_matrix(self) -> np.ndarray:
         """For projection kernels, the rank-r projector onto the top space."""
         if self._projection_cache is None:
-            V = self.eigenvectors[:, self._q == 1.0]
+            V = self._columns(self._q == 1.0)
             self._projection_cache = V @ V.T
         return self._projection_cache
+
+    def _columns(self, selected: np.ndarray) -> np.ndarray:
+        """Eigenvectors of the eigenvalues flagged in a length-n mask."""
+        return self.eigenvectors[:, selected[self._offset :]]
 
 
 def validate_kernel(kernel: KernelMatrix, tol: float = EIGENVALUE_CLAMP_RTOL) -> ValidatedDpp:
     """Check the eigenvalue-in-[0, n] existence condition.
 
     Eigenvalues inside ``[-tol*n, n*(1+tol)]`` are clamped to ``[0, n]``;
-    anything further out raises with the violating value.
+    anything further out raises with the violating value.  A factored
+    kernel ``K = B B^T`` is decomposed by a thin SVD of its ``n x m``
+    factor, in ``O(n m^2)``: the squared singular values are the top ``m``
+    eigenvalues, the rest are 0, and the reconstruction is checked on the
+    factor rather than on ``K``.
     """
-    K = kernel.entries
     n = kernel.n
-    eigvals, eigvecs = np.linalg.eigh(K) if n else (np.empty(0), np.empty((0, 0)))
+    B = kernel.factor
+    if B is not None:
+        U, sv, Wt = np.linalg.svd(B, full_matrices=False)
+        # ascending order, as eigh returns it
+        eigvals = np.concatenate([np.zeros(n - sv.size), sv[::-1] ** 2])
+        eigvecs, Wt = U[:, ::-1], Wt[::-1]
+    else:
+        eigvals, eigvecs = np.linalg.eigh(kernel.entries) if n else (np.empty(0), np.empty((0, 0)))
     slack = tol * max(n, 1)
     if n and eigvals[0] < -slack:
         raise ValueError(
@@ -119,9 +140,14 @@ def validate_kernel(kernel: KernelMatrix, tol: float = EIGENVALUE_CLAMP_RTOL) ->
             f"eigenvalue {eigvals[-1]:.6g} exceeds n = {n} beyond tolerance {slack:.3g}"
         )
     clamped = np.clip(eigvals, 0.0, float(n))
-    recon = (eigvecs * clamped) @ eigvecs.T
-    norm = float(np.linalg.norm(K))
-    err = float(np.linalg.norm(recon - K))
+    if B is not None:
+        target = B
+        recon = (eigvecs * np.sqrt(clamped[n - sv.size :])) @ Wt
+    else:
+        target = kernel.entries
+        recon = (eigvecs * clamped) @ eigvecs.T
+    norm = float(np.linalg.norm(target))
+    err = float(np.linalg.norm(recon - target))
     if err > 1e-8 * max(norm, 1e-30) + 1e-12:
         raise ArithmeticError(
             f"eigendecomposition reconstruction error {err:.3e} too large"
@@ -244,11 +270,11 @@ def _draw_once(dpp: ValidatedDpp, gen: np.random.Generator) -> IndexSample:
         diag = P.diagonal()
     elif n <= 2 * rank or n <= 24:
         # explicit projector is cheaper than per-step matvecs here
-        V = dpp.eigenvectors[:, selected]
+        V = dpp._columns(selected)
         P = V @ V.T
         diag = P.diagonal()
     else:
-        V = dpp.eigenvectors[:, selected]
+        V = dpp._columns(selected)
         idx = _conditional_chain(None, V, np.einsum("ij,ij->i", V, V), rank, gen)
         return IndexSample(tuple(int(i) for i in idx))
     if n <= 24:

@@ -297,8 +297,11 @@ def run_coreset(cfg: CoresetConfig) -> ResultTable:
             thetas = base.substream(2, k).generator().uniform(-1.0, 1.0, (cfg.theta_count, cfg.d))
             full = _loss_on_grid(_loss_coefficients(cloud.points, np.ones(cfg.n)), thetas)
             probs = sensitivity_scores(cloud)
+            # one orthonormalization per cloud: the rank-m kernel is factored
+            # by the first m columns of the largest rank's factor
+            basis = ope_kernel(cloud, max(cfg.m_grid)).factor
             for mi, m in enumerate(cfg.m_grid):
-                dpp = validate_kernel(ope_kernel(cloud, m))
+                dpp = validate_kernel(KernelMatrix(factor=basis[:, :m]))
                 diag = dpp.kernel.diagonal()
                 rel_dpp = []
                 samples = sample_dpp_many(dpp, base.substream(3, k, mi), cfg.draws)
@@ -464,8 +467,9 @@ def _check_kernel_validation(rng: SeededRng, corrupt: bool) -> tuple[bool, float
         try:
             validate_kernel(KernelMatrix(bad))
         except ValueError:
-            return False, -1.0  # the injected kernel is rejected, check fails
-        return False, -1.0
+            # the injected kernel is rejected, check fails by its excess over n
+            return False, -1.0
+        return False, math.nan  # the validator accepted it: no margin to report
     validate_kernel(random_valid_kernel(n, rng))
     return True, 0.0
 

@@ -4,6 +4,8 @@ Four families are built here, all under the same convention: a kernel matrix
 ``K`` together with the uniform weight ``1/n`` on the points defines a point
 process whose co-occurrence probabilities are ``det(K_A) / n^|A|``.  Such a
 process exists exactly when ``K`` is symmetric with eigenvalues in ``[0, n]``.
+The two projection families (``ope_kernel``, ``harmonic_kernel``) are built
+in factored form ``K = B B^T`` with an ``n x m`` factor; the others are dense.
 
 * ``gram_kernel`` — restriction of an explicit kernel function to the cloud;
 * ``ope_kernel`` — orthonormal-polynomial projection kernel (monomials in
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,23 +33,38 @@ SYMMETRY_RTOL = 1e-10
 GS_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
 class KernelMatrix:
-    """Dense symmetric kernel matrix under the ``1/n`` weight convention.
+    """Symmetric kernel matrix under the ``1/n`` weight convention.
 
-    Construction checks symmetry to relative tolerance ``1e-10`` and then
-    stores the exactly symmetrized matrix, read-only.
+    ``KernelMatrix(entries)`` is dense: construction checks symmetry to
+    relative tolerance ``1e-10`` and then stores the exactly symmetrized
+    matrix, read-only.  ``KernelMatrix(factor=B)`` is factored: it holds
+    ``K = B B^T`` for a finite ``n x m`` factor with ``m <= n``; ``entries``
+    is built from the factor on first read and cached, and ``diagonal()``
+    comes from the squared row norms of ``B``.
     """
 
-    entries: np.ndarray
+    __slots__ = ("_entries", "_factor")
 
-    def __post_init__(self) -> None:
-        K = np.asarray(self.entries, dtype=float)
+    def __init__(
+        self, entries: np.ndarray | None = None, *, factor: np.ndarray | None = None
+    ) -> None:
+        if (entries is None) == (factor is None):
+            raise ValueError("give exactly one of entries and factor")
+        self._entries: np.ndarray | None = None
+        self._factor: np.ndarray | None = None
+        if factor is not None:
+            B = np.array(factor, dtype=float)
+            if B.ndim != 2 or B.shape[1] > B.shape[0]:
+                raise ValueError(f"kernel factor must be n x m with m <= n, got shape {B.shape}")
+            _check_finite(B, "kernel factor entry")
+            B.setflags(write=False)
+            self._factor = B
+            return
+        K = np.asarray(entries, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError(f"kernel matrix must be square, got shape {K.shape}")
-        if K.size and not np.isfinite(K).all():
-            i, j = np.argwhere(~np.isfinite(K))[0]
-            raise ValueError(f"non-finite kernel entry at ({i}, {j})")
+        _check_finite(K, "kernel entry")
         scale = float(np.abs(K).max()) if K.size else 0.0
         asym = float(np.abs(K - K.T).max()) if K.size else 0.0
         if asym > SYMMETRY_RTOL * scale:
@@ -54,16 +72,39 @@ class KernelMatrix:
                 f"kernel asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|K| = "
                 f"{SYMMETRY_RTOL * scale:.3e}"
             )
-        K = np.ascontiguousarray((K + K.T) / 2.0)
-        K.setflags(write=False)
-        object.__setattr__(self, "entries", K)
+        self._entries = _symmetrized(K)
+
+    @property
+    def factor(self) -> np.ndarray | None:
+        """The ``n x m`` factor ``B`` of ``K = B B^T``, or None for a dense kernel."""
+        return self._factor
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = _symmetrized(self._factor @ self._factor.T)
+        return self._entries
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return (self._entries if self._factor is None else self._factor).shape[0]
 
     def diagonal(self) -> np.ndarray:
-        return self.entries.diagonal()
+        if self._factor is None:
+            return self._entries.diagonal()
+        return np.einsum("ij,ij->i", self._factor, self._factor)
+
+
+def _check_finite(A: np.ndarray, what: str) -> None:
+    if A.size and not np.isfinite(A).all():
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"non-finite {what} at ({i}, {j})")
+
+
+def _symmetrized(K: np.ndarray) -> np.ndarray:
+    K = np.ascontiguousarray((K + K.T) / 2.0)
+    K.setflags(write=False)
+    return K
 
 
 @dataclass(frozen=True)
@@ -255,6 +296,10 @@ def ope_kernel(cloud: PointCloud, m: int) -> KernelMatrix:
     ``m`` and ``tr(K)/n = m``.  Evaluation goes through the equivalent
     tensor-Legendre basis, which spans the same prefix flags but keeps
     Gram-Schmidt well conditioned at high polynomial degree.
+
+    The kernel is factored by the ``n x m`` matrix of the ``p_i``.
+    Gram-Schmidt is prefix-stable, so its first ``k`` columns are the
+    factor of the rank-``k`` kernel.
     """
     n = cloud.n
     if not 1 <= m <= n:
@@ -264,7 +309,7 @@ def ope_kernel(cloud: PointCloud, m: int) -> KernelMatrix:
         P = orthonormalize_columns(M, np.full(n, 1.0 / n))
     except ValueError as exc:
         raise ValueError(f"monomials dependent on this cloud: {exc}") from None
-    return KernelMatrix(P @ P.T)
+    return KernelMatrix(factor=P)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +349,17 @@ def kde_density(
 class HarmonicDetails:
     """Intermediate quantities of the harmonic kernel construction."""
 
-    kernel: KernelMatrix
-    aux_kernel: np.ndarray  # sum of v_i v_i^T before density reweighting
+    kernel: KernelMatrix  # factored by basis / sqrt(scale * density)
+    basis: np.ndarray  # surrogate eigenfunctions v_i, orthonormal under omega
     density: np.ndarray  # kernel density estimate at each point
     omega_weights: np.ndarray  # 1 / (n * density)
     laplacian_eigenvalues: np.ndarray
     scale: float  # max(1, lambda_max / n) divisor applied at the end
+
+    @cached_property
+    def aux_kernel(self) -> np.ndarray:
+        """Sum of ``v_i v_i^T`` before density reweighting, built on first read."""
+        return self.basis @ self.basis.T
 
 
 def harmonic_kernel(
@@ -404,15 +454,13 @@ def _assemble_harmonic(
     laplacian_eigenvalues: np.ndarray,
 ) -> HarmonicDetails:
     n = V.shape[0]
-    aux = V @ V.T
-    inv_root_density = 1.0 / np.sqrt(density)
-    K = aux * np.outer(inv_root_density, inv_root_density)
-    K = (K + K.T) / 2.0
-    lam_max = float(np.linalg.eigvalsh(K)[-1])
+    B = V * (1.0 / np.sqrt(density))[:, None]
+    # the top eigenvalue of B B^T, from the n x m factor
+    lam_max = float(np.linalg.svd(B, compute_uv=False)[0]) ** 2
     scale = max(1.0, lam_max / n)
     return HarmonicDetails(
-        kernel=KernelMatrix(K / scale),
-        aux_kernel=aux,
+        kernel=KernelMatrix(factor=B / math.sqrt(scale)),
+        basis=V,
         density=density,
         omega_weights=omega,
         laplacian_eigenvalues=laplacian_eigenvalues,
@@ -437,7 +485,9 @@ def harmonic_kernel_details(
     approximate unit-norm manifold eigenfunctions; kernel density estimate
     at bandwidth ``h2``; Gram-Schmidt under the density-corrected volume
     weights; density-reweighted projection kernel; and a final division by
-    ``max(1, lambda_max / n)`` so the eigenvalues land in ``[0, n]``.
+    ``max(1, lambda_max / n)`` so the eigenvalues land in ``[0, n]``.  The
+    kernel is factored by ``V / sqrt(scale * density)``, and ``lambda_max``
+    is the squared top singular value of that ``n x m`` factor.
     """
     return _assemble_harmonic(*_harmonic_orthobasis(cloud, m, h1, h2, profile, d_manifold))
 

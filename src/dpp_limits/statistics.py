@@ -103,10 +103,10 @@ def expected_linear_statistic(
     r = phi.arity
     _check_tuple_budget(n, r)
     pts = cloud.points
-    K = kernel.entries
     if r == 1:
         phi_vals = np.array([phi(pts[i]) for i in range(n)])
-        return float(phi_vals @ K.diagonal()) / n
+        return float(phi_vals @ kernel.diagonal()) / n
+    K = kernel.entries
     total = 0.0
     for subset in itertools.combinations(range(n), r):
         det = _subset_det(K, subset)

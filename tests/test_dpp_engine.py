@@ -237,3 +237,77 @@ def test_negative_association_for_projection():
 def test_random_valid_kernel_rejects_bad_spectrum():
     with pytest.raises(ValueError):
         random_valid_kernel(4, SeededRng(0), eigenvalues=np.array([5.0, 0, 0, 0]))
+
+
+# --- factored kernels --------------------------------------------------------
+
+
+def _random_factor(n, m, seed, top=0.9):
+    # Gaussian n x m factor scaled so its largest eigenvalue is top * n
+    B = SeededRng(seed).generator().standard_normal((n, m))
+    return B * math.sqrt(top * n) / np.linalg.norm(B, 2)
+
+
+def _dense_twin(kernel):
+    return KernelMatrix(kernel.factor @ kernel.factor.T)
+
+
+def test_factor_shape_checks():
+    with pytest.raises(ValueError, match="m <= n"):
+        KernelMatrix(factor=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="exactly one"):
+        KernelMatrix()
+    with pytest.raises(ValueError, match="exactly one"):
+        KernelMatrix(np.eye(2), factor=np.eye(2))
+
+
+def test_factored_entries_are_cached_product():
+    B = _random_factor(15, 5, seed=2)
+    K = KernelMatrix(factor=B)
+    assert K.n == 15
+    assert np.allclose(K.entries, B @ B.T, rtol=0, atol=1e-12)
+    assert K.entries is K.entries
+    assert np.array_equal(K.entries, K.entries.T)
+    assert np.allclose(K.diagonal(), np.diag(B @ B.T), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,m", [(9, 3), (40, 7), (30, 30)])
+def test_factored_validation_matches_dense(n, m):
+    K = KernelMatrix(factor=_random_factor(n, m, seed=n + m))
+    fac, dense = validate_kernel(K), validate_kernel(_dense_twin(K))
+    assert fac.eigenvalues.shape == (n,)
+    assert fac.eigenvectors.shape == (n, m)
+    assert np.abs(fac.eigenvalues - dense.eigenvalues).max() <= 1e-10 * n
+    recon = (fac.eigenvectors * fac.eigenvalues[n - m :]) @ fac.eigenvectors.T
+    assert np.linalg.norm(recon - K.entries) <= 1e-8 * np.linalg.norm(K.entries)
+
+
+def test_factored_validation_rejects_like_dense():
+    B = _random_factor(12, 4, seed=3, top=1.5)
+    for K in (KernelMatrix(factor=B), KernelMatrix(B @ B.T)):
+        with pytest.raises(ValueError, match="exceeds n = 12"):
+            validate_kernel(K)
+    B[2, 1] = np.nan
+    for make in (lambda: KernelMatrix(factor=B), lambda: KernelMatrix(B @ B.T)):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_kernel(make())
+
+
+def test_factored_reconstruction_check(monkeypatch):
+    real_svd = np.linalg.svd
+
+    def sign_flipped_svd(a, *args, **kwargs):
+        U, s, Wt = real_svd(a, *args, **kwargs)
+        return -U, s, Wt
+
+    monkeypatch.setattr(np.linalg, "svd", sign_flipped_svd)
+    with pytest.raises(ArithmeticError, match="reconstruction"):
+        validate_kernel(KernelMatrix(factor=_random_factor(10, 3, seed=4)))
+
+
+@pytest.mark.parametrize("n,m", [(10, 4), (40, 7)])
+def test_factored_and_dense_draw_alike(n, m):
+    K = KernelMatrix(factor=_random_factor(n, m, seed=5 * n + m))
+    fac, dense = validate_kernel(K), validate_kernel(_dense_twin(K))
+    assert not fac.is_projection()
+    assert sample_dpp_many(fac, SeededRng(8), 300) == sample_dpp_many(dense, SeededRng(8), 300)

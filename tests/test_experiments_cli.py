@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from dpp_limits import experiments
 from dpp_limits.cli import main
 from dpp_limits.experiments import (
     CSV_HEADER,
@@ -134,6 +137,28 @@ def test_run_checks_corrupt_kernel_fails():
         ChecksConfig(checks=("kernel_validation",), corrupt_kernel=True, seed=2)
     )
     assert table.rows[0].method == "fail"
+
+
+def _corrupt_validation_row(monkeypatch, validator):
+    monkeypatch.setattr(experiments, "validate_kernel", validator)
+    table = run_checks(
+        ChecksConfig(checks=("kernel_validation",), corrupt_kernel=True, seed=2)
+    )
+    return table.rows[0]
+
+
+def test_corrupt_kernel_rejected_row(monkeypatch):
+    def rejects(kernel):
+        raise ValueError("eigenvalue exceeds n")
+
+    row = _corrupt_validation_row(monkeypatch, rejects)
+    assert (row.method, row.value) == ("fail", -1.0)
+
+
+def test_corrupt_kernel_wrongly_accepted_row(monkeypatch):
+    row = _corrupt_validation_row(monkeypatch, lambda kernel: None)
+    assert row.method == "fail"
+    assert math.isnan(row.value)
 
 
 def test_run_checks_empty_list():

@@ -14,6 +14,7 @@ from dpp_limits import (
     PointCloud,
     SeededRng,
     constant_kernel,
+    enumerate_pmf,
     gaussian_kernel,
     graded_monomials,
     gram_kernel,
@@ -25,11 +26,13 @@ from dpp_limits import (
     load_kernel,
     normalized_indicator_profile,
     ope_kernel,
+    sample_dpp_many,
     sample_uniform_cube,
     sample_uniform_sphere,
     save_kernel,
     usvt_kernel,
     usvt_retained_rank,
+    validate_kernel,
 )
 from dpp_limits.kernel_builders import squared_distances
 
@@ -269,6 +272,77 @@ def test_harmonic_rejects_bad_bandwidths():
     annulus = lambda t: np.where((np.asarray(t) > 0.5) & (np.asarray(t) <= 1.0), 1.0, 0.0)  # noqa: E731
     with pytest.raises(ValueError, match="density"):
         harmonic_kernel(cloud, 3, 0.5, 1e-6, annulus, 2)
+
+
+# --- factored projection kernels -------------------------------------------
+
+
+def _factored_builds():
+    cloud, h1, h2, prof = _sphere_setup(n=120)
+    return [
+        ope_kernel(cube(100, 2, seed=50), 9),
+        ope_kernel(cube(60, 1, seed=51), 20),
+        harmonic_kernel(cloud, 6, h1, h2, prof, 2),
+    ]
+
+
+def test_builders_return_factored_kernels():
+    for K in _factored_builds():
+        n, m = K.factor.shape
+        assert K.n == n and m < n
+        assert np.allclose(K.entries, K.factor @ K.factor.T, rtol=0, atol=1e-10 * n)
+        assert np.allclose(K.diagonal(), K.entries.diagonal(), rtol=0, atol=1e-10 * n)
+
+
+def test_factored_builders_validate_like_dense():
+    for K in _factored_builds():
+        n, m = K.factor.shape
+        fac, dense = validate_kernel(K), validate_kernel(KernelMatrix(K.entries))
+        assert fac.eigenvalues.shape == (n,)
+        assert fac.eigenvectors.shape == (n, m)
+        assert np.abs(fac.eigenvalues - dense.eigenvalues).max() <= 1e-10 * n
+        assert fac.is_projection() and dense.is_projection()
+        assert sample_dpp_many(fac, SeededRng(9), 50) == sample_dpp_many(dense, SeededRng(9), 50)
+
+
+def test_factored_builders_reject_like_dense():
+    for K in _factored_builds():
+        over = 1.01 * K.factor  # top eigenvalue 1.0201 n
+        for bad in (KernelMatrix(factor=over), KernelMatrix(over @ over.T)):
+            with pytest.raises(ValueError, match="exceeds n"):
+                validate_kernel(bad)
+        broken = K.factor.copy()
+        broken[0, 0] = np.inf
+        for make in (lambda: KernelMatrix(factor=broken), lambda: KernelMatrix(broken @ broken.T)):
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_kernel(make())
+
+
+def test_factored_ope_sampler_oracle_tv():
+    n, m, draws = 8, 3, 50_000
+    dpp = validate_kernel(ope_kernel(cube(n, 2, seed=52), m))
+    assert dpp.kernel.factor is not None
+    pmf = enumerate_pmf(dpp)
+    counts: dict[tuple, int] = {}
+    for smp in sample_dpp_many(dpp, SeededRng(53), draws):
+        counts[smp.indices] = counts.get(smp.indices, 0) + 1
+    tv = 0.5 * sum(abs(counts.get(s, 0) / draws - p) for s, p in pmf.items())
+    assert tv <= 0.02
+
+
+def test_ope_factor_prefixes_are_lower_rank_factors():
+    cloud = cube(80, 2, seed=54)
+    full = ope_kernel(cloud, 15).factor
+    for m in (1, 4, 10):
+        assert np.abs(ope_kernel(cloud, m).factor - full[:, :m]).max() <= 1e-12
+
+
+def test_harmonic_aux_kernel_is_lazy():
+    cloud, h1, h2, prof = _sphere_setup(n=80)
+    det = harmonic_kernel_details(cloud, 4, h1, h2, prof, 2)
+    assert "aux_kernel" not in vars(det)
+    assert np.array_equal(det.aux_kernel, det.basis @ det.basis.T)
+    assert det.aux_kernel is det.aux_kernel
 
 
 # --- latent_graph ----------------------------------------------------------

@@ -84,6 +84,17 @@ def test_expected_statistic_projection_rank():
     assert expected_linear_statistic(K, cloud, ONE) == pytest.approx(m, abs=1e-8)
 
 
+def test_expected_statistic_r1_keeps_factored_kernel_factored():
+    n, m = 60, 6
+    cloud = cube(n, seed=2)
+    K = ope_kernel(cloud, m)
+    phi = TestFunction(1, lambda x: float(x[0] ** 2), sup_bound=1.0)
+    got = expected_linear_statistic(K, cloud, phi)
+    assert K._entries is None  # no n x n matrix was built
+    dense = expected_linear_statistic(KernelMatrix(K.entries), cloud, phi)
+    assert got == pytest.approx(dense, rel=1e-12)
+
+
 def _pmf_expectation(dpp, cloud, phi):
     pmf = enumerate_pmf(dpp)
     return sum(
