@@ -4,8 +4,9 @@ A kernel matrix ``K`` defines a point process over indices with
 ``P(A in sample) = det(K_A) / n^|A|`` exactly when its eigenvalues lie in
 ``[0, n]``.  :func:`validate_kernel` checks that condition and carries the
 eigendecomposition; :func:`sample_dpp` draws exact samples with the spectral
-two-phase algorithm; :func:`enumerate_pmf` computes the full distribution for
-small ``n`` so the sampler can be tested against ground truth.
+two-phase algorithm, and :func:`sample_dpp_many` draws the same samples in
+batches; :func:`enumerate_pmf` computes the full distribution for small ``n``
+so the sampler can be tested against ground truth.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ PROJECTION_SNAP = 1e-9
 # conditional probabilities in [-NEGATIVE_PROB_TOL, 0) are rounded to 0;
 # anything lower is a hard numerical failure
 NEGATIVE_PROB_TOL = 1e-12
+# working-set cap of one block of sample_dpp_many: its phase-one uniforms
+# and the lockstep chain's W, d, cum and col arrays
+_BLOCK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -276,11 +280,11 @@ def _draw_once(dpp: ValidatedDpp, gen: np.random.Generator) -> IndexSample:
     else:
         V = dpp._columns(selected)
         idx = _conditional_chain(None, V, np.einsum("ij,ij->i", V, V), rank, gen)
-        return IndexSample(tuple(int(i) for i in idx))
+        return IndexSample(idx.tolist())
     if n <= 24:
-        return IndexSample(tuple(_chain_small(P, diag, rank, gen)))
+        return IndexSample(_chain_small(P, diag, rank, gen))
     idx = _conditional_chain(P, None, diag, rank, gen)
-    return IndexSample(tuple(int(i) for i in idx))
+    return IndexSample(idx.tolist())
 
 
 def sample_dpp(dpp: ValidatedDpp, rng: SeededRng | np.random.Generator) -> IndexSample:
@@ -294,12 +298,174 @@ def sample_dpp(dpp: ValidatedDpp, rng: SeededRng | np.random.Generator) -> Index
     return _draw_once(dpp, as_generator(rng))
 
 
+def _lockstep_chain(V: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sequential conditioning for a batch of draws from the projection ``V V^T``.
+
+    Row ``g`` of ``u`` holds draw ``g``'s uniforms, one per step.  Works in
+    the basis of the ``n x r`` orthonormal columns ``V``: step ``t`` of draw
+    ``g`` is the column ``V W[g, t]``, so the chain holds ``W`` (``G x r x
+    r``) and updates the ``G x n`` residual diagonals with one GEMM per
+    step.  Each draw gets the checks of :func:`_conditional_chain`.
+    Returns the chosen indices, each row ascending.
+    """
+    n, rank = V.shape
+    G = u.shape[0]
+    rows = np.arange(G)
+    d = np.repeat(np.einsum("ij,ij->i", V, V)[None, :], G, axis=0)
+    W = np.empty((G, rank, rank))
+    chosen = np.empty((G, rank), dtype=np.intp)
+    for t in range(rank):
+        if d.min() < 0.0:
+            dmin = d.min(axis=1)
+            low = np.flatnonzero(dmin < -NEGATIVE_PROB_TOL * (rank - t))
+            if low.size:
+                raise ArithmeticError(
+                    f"conditional probability {dmin[low[0]] / (rank - t):.3e} below "
+                    f"-{NEGATIVE_PROB_TOL:.0e} at draw step {t}"
+                )
+            np.maximum(d, 0.0, out=d)
+        cum = np.cumsum(d, axis=1)
+        total = cum[:, -1]
+        if total.min() <= 0.0:
+            raise ArithmeticError(f"conditional probabilities vanished at draw step {t}")
+        # searchsorted(cum, u * total, side="right") per row, as cum is
+        # nondecreasing; counting over the first n - 1 entries applies
+        # j = min(j, n - 1)
+        j = np.count_nonzero(cum[:, :-1] <= (u[:, t] * total)[:, None], axis=1)
+        piv = d[rows, j]
+        if piv.min() <= 0.0:
+            bad = j[np.flatnonzero(piv <= 0.0)[0]]
+            raise ArithmeticError(f"selected index {bad} has nonpositive residual mass")
+        w = V[j]
+        if t:
+            prev = W[:, :t]
+            w -= np.matmul(np.matmul(prev, w[:, :, None]).transpose(0, 2, 1), prev)[:, 0]
+        w /= np.sqrt(piv)[:, None]
+        W[:, t] = w
+        col = w @ V.T
+        col *= col
+        d -= col
+        chosen[:, t] = j
+        d[rows[:, None], chosen[:, : t + 1]] = 0.0
+    chosen.sort(axis=1)
+    return chosen
+
+
+def _phase_one(
+    q: np.ndarray, frac: np.ndarray, gen: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvector selections of ``count`` consecutive draws.
+
+    ``q`` holds the selection probabilities and ``frac`` the positions of
+    the ``f`` of them strictly between 0 and 1; the others select always
+    or never.  Draw ``i`` starts at position ``starts[i]`` of the returned
+    uniforms: ``n`` of them select eigenvectors, as in :func:`_draw_once`,
+    and the next ``r_i`` (its rank) feed its chain steps.  ``gen`` ends
+    where ``count`` single draws leave it.  Returns the uniforms, the
+    starts and the ``count x f`` selections at ``frac``.
+    """
+    n, fq = q.size, q[frac]
+    step = n + int(np.count_nonzero(q == 1.0))
+    if not frac.size:
+        return gen.random(count * step), np.arange(count) * step, np.empty((count, 0), bool)
+    state = gen.bit_generator.state
+    buf = gen.random(count * (step + frac.size))
+    # the length of a draw starting at every position that could be a start
+    span = (count - 1) * (step + frac.size) + 1
+    length = np.full(span, step)
+    for k, qk in zip(frac, fq):
+        length += buf[k : k + span] < qk
+    nxt = (length + np.arange(span)).tolist()
+    starts = []
+    p = 0
+    for _ in range(count):
+        starts.append(p)
+        p = nxt[p]
+    # rewind and consume exactly the walked uniforms
+    gen.bit_generator.state = state
+    gen.random(p)
+    starts = np.asarray(starts)
+    return buf, starts, buf[starts[:, None] + frac] < fq
+
+
+_EMPTY = IndexSample(())
+
+
+def _trusted_samples(chosen: np.ndarray) -> list[IndexSample]:
+    # IndexSample without its per-sample __post_init__, once strict
+    # increase is checked for the whole batch
+    if not (np.diff(chosen, axis=1) > 0).all():
+        raise ArithmeticError("lockstep chain chose an index twice")
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for idx in map(tuple, chosen.tolist()):
+        s = new(IndexSample)
+        put(s, "indices", idx)
+        put(s, "multiplicities", None)
+        out.append(s)
+    return out
+
+
+def _draw_block(dpp: ValidatedDpp, gen: np.random.Generator, count: int) -> list[IndexSample]:
+    n, q = dpp.n, dpp._q
+    frac = np.flatnonzero((q > 0.0) & (q < 1.0))
+    buf, starts, sel = _phase_one(q, frac, gen, count)
+    # draws with the same selected eigenvectors share one chain
+    if frac.size < 63:
+        keys = sel @ (1 << np.arange(frac.size))
+    else:
+        keys = np.unique(np.packbits(sel, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    out: list[IndexSample] = [_EMPTY] * count
+    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        selected = q == 1.0
+        selected[frac[sel[rows[0]]]] = True
+        rank = int(selected.sum())
+        if not rank:
+            continue
+        u = buf[starts[rows, None] + n + np.arange(rank)]
+        samples = _trusted_samples(_lockstep_chain(dpp._columns(selected), u))
+        for i, s in zip(rows.tolist(), samples):
+            out[i] = s
+    return out
+
+
 def sample_dpp_many(
     dpp: ValidatedDpp, rng: SeededRng | np.random.Generator, count: int
 ) -> list[IndexSample]:
-    """Draw ``count`` samples sequentially from one stream."""
+    """Draw ``count`` samples from one stream.
+
+    Draws go in blocks held under a fixed byte budget; within a block,
+    phase one runs for every draw at once, and the draws that selected the
+    same eigenvectors advance through one chain in lockstep.  The generator
+    ends where ``count`` sequential :func:`sample_dpp` calls leave it, and
+    the samples equal theirs up to floating-point rounding: the lockstep
+    chain computes its residuals in another order, which may depend on
+    the makeup of the block and of the group a draw falls in, so a uniform
+    within rounding of a cumulative boundary can pick a neighbouring index,
+    and a residual at the edge of the ``NEGATIVE_PROB_TOL`` check can trip
+    it on one path only.  A block whose chain trips a numerical check is
+    drawn again one sample at a time, so the error raised is the one
+    :func:`sample_dpp` raises.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     gen = as_generator(rng)
-    return [_draw_once(dpp, gen) for _ in range(count)]
+    n, r = dpp.n, int(np.count_nonzero(dpp._q))
+    # bytes per draw: phase-one uniforms and walk lengths, W, then d, cum,
+    # col and the search mask
+    per_draw = 8 * (2 * (n + r) + r * r + 4 * n)
+    block = max(1, _BLOCK_BYTES // max(per_draw, 1))
+    out: list[IndexSample] = []
+    for first in range(0, count, block):
+        size = min(block, count - first)
+        state = gen.bit_generator.state
+        try:
+            out += _draw_block(dpp, gen, size)
+        except ArithmeticError:
+            gen.bit_generator.state = state
+            out += [_draw_once(dpp, gen) for _ in range(size)]
+    return out
 
 
 def inclusion_probability(kernel: KernelMatrix, indices) -> float:

@@ -8,6 +8,8 @@ from dpp_limits import (
     IndexSample,
     KernelMatrix,
     SeededRng,
+    ValidatedDpp,
+    dpp_engine,
     enumerate_pmf,
     inclusion_probability,
     ope_kernel,
@@ -311,3 +313,87 @@ def test_factored_and_dense_draw_alike(n, m):
     fac, dense = validate_kernel(K), validate_kernel(_dense_twin(K))
     assert not fac.is_projection()
     assert sample_dpp_many(fac, SeededRng(8), 300) == sample_dpp_many(dense, SeededRng(8), 300)
+
+
+# --- batched draws -----------------------------------------------------------
+
+
+def _batch_kernel(kind, n, seed):
+    # spectra as eigenvalue / n: a projection, a mixed one with a few values
+    # strictly between 0 and 1, and a diffuse one with every value small
+    gen = SeededRng(seed).generator()
+    if kind == "zero":
+        return KernelMatrix(np.zeros((n, n)))
+    if kind == "diffuse":
+        return random_valid_kernel(n, gen, eigenvalues=gen.uniform(0.0, min(n, 2.0), n))
+    top = np.ones(5) if kind.endswith("projection") else np.array([1.0, 0.9, 0.6, 0.3, 0.05])
+    top = top[: min(n, 5)]
+    if kind.startswith("dense"):
+        lam = np.zeros(n)
+        lam[n - top.size :] = n * top
+        return random_valid_kernel(n, gen, eigenvalues=lam)
+    Q, _ = np.linalg.qr(gen.standard_normal((n, top.size)))
+    return KernelMatrix(factor=Q * np.sqrt(n * top))
+
+
+_BATCH_KINDS = [
+    "zero", "dense-projection", "factored-projection", "dense-mixed", "factored-mixed", "diffuse"
+]
+
+
+def _no_replay(dpp, gen):
+    raise AssertionError("a block was drawn again one sample at a time")
+
+
+def _assert_many_matches_singles(monkeypatch, dpp, count, seed):
+    batched, single = SeededRng(seed).generator(), SeededRng(seed).generator()
+    with monkeypatch.context() as patch:
+        # the batched path must not lean on the single-draw fallback
+        patch.setattr(dpp_engine, "_draw_once", _no_replay)
+        many = sample_dpp_many(dpp, batched, count)
+    assert isinstance(many, list)
+    assert many == [sample_dpp(dpp, single) for _ in range(count)]
+    assert batched.random() == single.random()
+
+
+@pytest.mark.parametrize("kind", _BATCH_KINDS)
+@pytest.mark.parametrize("n", [1, 8, 30, 300])
+def test_sample_many_matches_sequential_draws(monkeypatch, kind, n):
+    dpp = validate_kernel(_batch_kernel(kind, n, seed=n))
+    for count in (0, 1, 7, 2000):
+        _assert_many_matches_singles(monkeypatch, dpp, count, seed=count + 3)
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("dense-mixed", 8), ("factored-projection", 30), ("diffuse", 300)]
+)
+def test_sample_many_block_seams(monkeypatch, kind, n):
+    monkeypatch.setattr(dpp_engine, "_BLOCK_BYTES", 1)  # one draw per block
+    dpp = validate_kernel(_batch_kernel(kind, n, seed=n))
+    _assert_many_matches_singles(monkeypatch, dpp, 40, seed=9)
+
+
+def test_sample_many_rejects_negative_count():
+    dpp = validate_kernel(_batch_kernel("dense-mixed", 8, seed=1))
+    with pytest.raises(ValueError, match="count"):
+        sample_dpp_many(dpp, SeededRng(0), -1)
+
+
+def test_sample_many_raises_like_single_draws():
+    # three copies of one large column are not orthonormal, so the chain's
+    # residuals after the first step are rounding noise of order 1e-5 with
+    # both signs, far below -NEGATIVE_PROB_TOL
+    n = 40
+    col = 1e6 * SeededRng(2).generator().standard_normal(n) / math.sqrt(n)
+    V = np.repeat(col[:, None], 3, axis=1)
+    eigenvalues = np.zeros(n)
+    eigenvalues[-3:] = n
+    dpp = ValidatedDpp(KernelMatrix(factor=V), eigenvalues, V)
+    below = "conditional probability .* below"
+    with pytest.raises(ArithmeticError, match=below):
+        sample_dpp(dpp, SeededRng(3))
+    with pytest.raises(ArithmeticError, match=below):
+        sample_dpp_many(dpp, SeededRng(3), 5)
+    # the lockstep chain itself trips the check, not only the replay
+    with pytest.raises(ArithmeticError, match=below):
+        dpp_engine._lockstep_chain(V, SeededRng(3).generator().random((5, 3)))
