@@ -370,12 +370,14 @@ def _phase_one(
         return gen.random(count * step), np.arange(count) * step, np.empty((count, 0), bool)
     state = gen.bit_generator.state
     buf = gen.random(count * (step + frac.size))
-    # the length of a draw starting at every position that could be a start
+    # the start of the next draw after a draw starting at every position
+    # that could be a start; the walk reads it through a memoryview, as a
+    # list of it would take about 40 bytes per position, beyond the budget
     span = (count - 1) * (step + frac.size) + 1
-    length = np.full(span, step)
+    nxt = np.arange(step, step + span)
     for k, qk in zip(frac, fq):
-        length += buf[k : k + span] < qk
-    nxt = (length + np.arange(span)).tolist()
+        nxt += buf[k : k + span] < qk
+    nxt = memoryview(nxt)
     starts = []
     p = 0
     for _ in range(count):

@@ -2,36 +2,20 @@
 
 Both experiments compare an independent with-replacement baseline against a
 repulsive sample drawn from a kernel, with inverse-inclusion weights making
-each estimator unbiased for its target.
+each estimator unbiased for its target.  Each estimator takes the draws its
+caller made and returns one estimate per draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dpp_engine import IndexSample, ValidatedDpp, sample_dpp
+from .dpp_engine import IndexSample, ValidatedDpp
 from .point_cloud import PointCloud
 from .rng import SeededRng, as_generator
-
-
-@dataclass(frozen=True)
-class WeightedEstimate:
-    """An estimate together with the sample and weights that produced it."""
-
-    value: float
-    sample: IndexSample
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.size and (not np.isfinite(w).all() or (w <= 0).any()):
-            raise ValueError("weights must be positive and finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 def true_loss(cloud: PointCloud, theta: np.ndarray) -> float:
@@ -73,53 +57,75 @@ def draw_with_replacement(
     return IndexSample(tuple(int(i) for i in retained), tuple(int(c) for c in counts[retained]))
 
 
-def coreset_estimate_iid(
-    cloud: PointCloud,
-    theta: np.ndarray,
-    m: int,
-    probabilities: np.ndarray,
-    rng: SeededRng | np.random.Generator,
-) -> WeightedEstimate:
-    """Loss estimate from ``m`` with-replacement draws.
+def loss_on_grid(points: np.ndarray, weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Weighted 1-means loss ``sum_i w_i ||x_i - theta||^2`` at every row of ``thetas``.
 
-    ``L_S = sum_i ||x_i - theta||^2 * count_i / (m * p_i)``; unbiased for
-    the full loss since each count has mean ``m * p_i``.
+    Expanded as ``c - 2 theta.b + a ||theta||^2`` with ``a = sum w``,
+    ``b = sum w x`` and ``c = sum w ||x||^2``, so a grid costs one pass
+    over the points.
     """
-    p = np.asarray(probabilities, dtype=float)
-    if p.shape != (cloud.n,):
-        raise ValueError("probabilities must match the cloud size")
-    sample = draw_with_replacement(m, p, rng)
-    idx = np.array(sample.indices, dtype=np.intp)
-    eps = np.array(sample.multiplicities, dtype=float)
-    weights = eps / (m * p[idx])
-    diff = cloud.points[idx] - np.asarray(theta, dtype=float)
-    value = float((diff * diff).sum(axis=1) @ weights)
-    return WeightedEstimate(value, sample, weights)
+    a = float(weights.sum())
+    b = weights @ points
+    c = float(weights @ (points * points).sum(axis=1))
+    return c - 2.0 * thetas @ b + a * (thetas * thetas).sum(axis=1)
 
 
-def coreset_estimate_dpp(
-    cloud: PointCloud,
-    theta: np.ndarray,
-    dpp: ValidatedDpp,
-    rng: SeededRng | np.random.Generator,
-) -> WeightedEstimate:
-    """Loss estimate from one repulsive draw, weighted by inclusion odds.
-
-    ``L_S = sum_{i in S} ||x_i - theta||^2 / (K_ii / n)``; the diagonal must
-    be strictly positive so every point can be weighted.
-    """
+def _positive_diagonal(dpp: ValidatedDpp) -> np.ndarray:
     diag = dpp.kernel.diagonal()
     if (diag <= 0).any():
         raise ValueError(
             f"kernel diagonal vanishes at index {int(np.argmin(diag))}; "
             "that point can never be sampled"
         )
-    sample = sample_dpp(dpp, rng)
-    idx = np.array(sample.indices, dtype=np.intp)
-    weights = dpp.n / diag[idx]
-    diff = cloud.points[idx] - np.asarray(theta, dtype=float)
-    value = float((diff * diff).sum(axis=1) @ weights) if idx.size else 0.0
-    return WeightedEstimate(value, sample, weights)
+    return diag
+
+
+def coreset_estimate_iid(
+    cloud: PointCloud,
+    thetas: np.ndarray,
+    m: int,
+    probabilities: np.ndarray,
+    samples: Sequence[IndexSample],
+) -> np.ndarray:
+    """Loss estimates of ``m``-point with-replacement draws on a theta grid.
+
+    ``L_S = sum_i ||x_i - theta||^2 * count_i / (m * p_i)``; unbiased for
+    the full loss since each count has mean ``m * p_i``.  Row ``s`` holds
+    the estimates of ``samples[s]`` (a :func:`draw_with_replacement` draw)
+    at every row of ``thetas``.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    if p.shape != (cloud.n,):
+        raise ValueError("probabilities must match the cloud size")
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.empty((len(samples), thetas.shape[0]))
+    for s, smp in enumerate(samples):
+        idx = np.array(smp.indices, dtype=np.intp)
+        w = np.array(smp.multiplicities, dtype=float) / (m * p[idx])
+        out[s] = loss_on_grid(cloud.points[idx], w, thetas)
+    return out
+
+
+def coreset_estimate_dpp(
+    cloud: PointCloud,
+    thetas: np.ndarray,
+    dpp: ValidatedDpp,
+    samples: Sequence[IndexSample],
+) -> np.ndarray:
+    """Loss estimates of repulsive draws on a theta grid, weighted by inclusion odds.
+
+    ``L_S = sum_{i in S} ||x_i - theta||^2 / (K_ii / n)``; the diagonal must
+    be strictly positive so every point can be weighted.  Row ``s`` holds
+    the estimates of ``samples[s]`` (a draw of ``dpp``) at every row of
+    ``thetas``.
+    """
+    diag = _positive_diagonal(dpp)
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.empty((len(samples), thetas.shape[0]))
+    for s, smp in enumerate(samples):
+        idx = np.array(smp.indices, dtype=np.intp)
+        out[s] = loss_on_grid(cloud.points[idx], dpp.n / diag[idx], thetas)
+    return out
 
 
 def _check_density(e_p: np.ndarray, n: int) -> np.ndarray:
@@ -134,50 +140,52 @@ def _check_density(e_p: np.ndarray, n: int) -> np.ndarray:
 
 
 def sphere_integral_iid(
-    cloud: PointCloud,
-    f: Callable[[np.ndarray], float],
+    f_vals: np.ndarray,
     m: int,
+    probabilities: np.ndarray,
     e_p: np.ndarray,
-    rng: SeededRng | np.random.Generator,
-) -> WeightedEstimate:
-    """Volume-integral estimate from ``m`` density-proportional iid draws.
+    samples: Sequence[IndexSample],
+) -> np.ndarray:
+    """Volume-integral estimates of ``m``-point with-replacement draws.
 
-    ``I_S = sum_i f(x_i) count_i / (n m p_i e_i)`` with ``p_i ~ e_i``;
-    unbiased for ``I_n = sum_i f(x_i) / (n e_i)``.
+    ``I_S = sum_i f(x_i) count_i / (n m p_i e_i)``; unbiased for
+    ``I_n = sum_i f(x_i) / (n e_i)``.  ``f_vals`` holds ``f`` at the
+    ``n`` cloud points; entry ``s`` is the estimate of ``samples[s]``.
     """
-    e = _check_density(e_p, cloud.n)
-    p = e / e.sum()
-    sample = draw_with_replacement(m, p, rng)
-    idx = np.array(sample.indices, dtype=np.intp)
-    eps = np.array(sample.multiplicities, dtype=float)
-    weights = eps / (cloud.n * m * p[idx] * e[idx])
-    value = float(sum(w * f(cloud.points[i]) for i, w in zip(idx, weights)))
-    return WeightedEstimate(value, sample, weights)
+    f_vals = np.asarray(f_vals, dtype=float)
+    n = f_vals.shape[0]
+    e = _check_density(e_p, n)
+    p = np.asarray(probabilities, dtype=float)
+    if p.shape != (n,):
+        raise ValueError("probabilities must match the cloud size")
+    out = np.empty(len(samples))
+    for s, smp in enumerate(samples):
+        idx = np.array(smp.indices, dtype=np.intp)
+        eps = np.array(smp.multiplicities, dtype=float)
+        out[s] = float((f_vals[idx] * eps / (n * m * p[idx] * e[idx])).sum())
+    return out
 
 
 def sphere_integral_dpp(
-    cloud: PointCloud,
-    f: Callable[[np.ndarray], float],
+    f_vals: np.ndarray,
     dpp: ValidatedDpp,
     e_p: np.ndarray,
-    rng: SeededRng | np.random.Generator,
-) -> WeightedEstimate:
-    """Volume-integral estimate from one repulsive draw.
+    samples: Sequence[IndexSample],
+) -> np.ndarray:
+    """Volume-integral estimates of repulsive draws.
 
     ``I_S = sum_{i in S} f(x_i) / (n e_i K_ii / n)``; unbiased for ``I_n``.
+    ``f_vals`` holds ``f`` at the cloud points; entry ``s`` is the
+    estimate of ``samples[s]``.
     """
-    e = _check_density(e_p, cloud.n)
-    diag = dpp.kernel.diagonal()
-    if (diag <= 0).any():
-        raise ValueError(
-            f"kernel diagonal vanishes at index {int(np.argmin(diag))}; "
-            "that point can never be sampled"
-        )
-    sample = sample_dpp(dpp, rng)
-    idx = np.array(sample.indices, dtype=np.intp)
-    weights = 1.0 / (e[idx] * diag[idx])
-    value = float(sum(w * f(cloud.points[i]) for i, w in zip(idx, weights)))
-    return WeightedEstimate(value, sample, weights)
+    f_vals = np.asarray(f_vals, dtype=float)
+    e = _check_density(e_p, f_vals.shape[0])
+    diag = _positive_diagonal(dpp)
+    out = np.empty(len(samples))
+    for s, smp in enumerate(samples):
+        idx = np.array(smp.indices, dtype=np.intp)
+        out[s] = float((f_vals[idx] / (e[idx] * diag[idx])).sum())
+    return out
 
 
 def quantile_relative_error(errors: Sequence[float], q: float) -> float:

@@ -36,7 +36,16 @@ from .dpp_engine import (
     sample_dpp_many,
     validate_kernel,
 )
-from .estimators import draw_with_replacement, quantile_relative_error, sensitivity_scores
+from .estimators import (
+    coreset_estimate_dpp,
+    coreset_estimate_iid,
+    draw_with_replacement,
+    loss_on_grid,
+    quantile_relative_error,
+    sensitivity_scores,
+    sphere_integral_dpp,
+    sphere_integral_iid,
+)
 from .kernel_builders import (
     KernelMatrix,
     gaussian_kernel,
@@ -270,19 +279,6 @@ class _Phase:
 # ---------------------------------------------------------------------------
 
 
-def _loss_coefficients(points: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray, float]:
-    # L(theta) = c - 2 theta.b + a ||theta||^2 for weighted squared distances
-    a = float(weights.sum())
-    b = weights @ points
-    c = float(weights @ (points * points).sum(axis=1))
-    return a, b, c
-
-
-def _loss_on_grid(coeff: tuple[float, np.ndarray, float], thetas: np.ndarray) -> np.ndarray:
-    a, b, c = coeff
-    return c - 2.0 * thetas @ b + a * (thetas * thetas).sum(axis=1)
-
-
 def run_coreset(cfg: CoresetConfig) -> ResultTable:
     """Quantile relative loss error per coreset size, repulsive vs iid."""
     base = SeededRng(cfg.seed)
@@ -295,29 +291,20 @@ def run_coreset(cfg: CoresetConfig) -> ResultTable:
             cloud = sample_uniform_cube(cfg.n, cfg.d, base.substream(1, k))
             logger.info("realization %d: cloud stream %d", k, base.substream(1, k).stream_id)
             thetas = base.substream(2, k).generator().uniform(-1.0, 1.0, (cfg.theta_count, cfg.d))
-            full = _loss_on_grid(_loss_coefficients(cloud.points, np.ones(cfg.n)), thetas)
+            full = loss_on_grid(cloud.points, np.ones(cfg.n), thetas)
             probs = sensitivity_scores(cloud)
             # one orthonormalization per cloud: the rank-m kernel is factored
             # by the first m columns of the largest rank's factor
             basis = ope_kernel(cloud, max(cfg.m_grid)).factor
             for mi, m in enumerate(cfg.m_grid):
                 dpp = validate_kernel(KernelMatrix(factor=basis[:, :m]))
-                diag = dpp.kernel.diagonal()
-                rel_dpp = []
                 samples = sample_dpp_many(dpp, base.substream(3, k, mi), cfg.draws)
-                for smp in samples:
-                    idx = np.array(smp.indices, dtype=np.intp)
-                    w = cfg.n / diag[idx]
-                    est = _loss_on_grid(_loss_coefficients(cloud.points[idx], w), thetas)
-                    rel_dpp.append(float(np.max(np.abs(est - full) / full)))
-                rel_iid = []
+                est = coreset_estimate_dpp(cloud, thetas, dpp, samples)
+                rel_dpp = np.max(np.abs(est - full) / full, axis=1)
                 gen = base.substream(4, k, mi).generator()
-                for _ in range(cfg.draws):
-                    smp = draw_with_replacement(m, probs, gen)
-                    idx = np.array(smp.indices, dtype=np.intp)
-                    w = np.array(smp.multiplicities, dtype=float) / (m * probs[idx])
-                    est = _loss_on_grid(_loss_coefficients(cloud.points[idx], w), thetas)
-                    rel_iid.append(float(np.max(np.abs(est - full) / full)))
+                draws = [draw_with_replacement(m, probs, gen) for _ in range(cfg.draws)]
+                est = coreset_estimate_iid(cloud, thetas, m, probs, draws)
+                rel_iid = np.max(np.abs(est - full) / full, axis=1)
                 quantiles[(m, "dpp")].append(quantile_relative_error(rel_dpp, cfg.quantile))
                 quantiles[(m, "iid")].append(quantile_relative_error(rel_iid, cfg.quantile))
     reps = cfg.draws * cfg.realizations
@@ -361,22 +348,14 @@ def run_sphere(cfg: SphereConfig) -> ResultTable:
         iid_probs = density / density.sum()
         for mi, m in enumerate(cfg.m_grid):
             dpp = validate_kernel(family[m].kernel)
-            diag = dpp.kernel.diagonal()
             with _Phase(f"sphere draws m={m} realization {rr}"):
                 samples = sample_dpp_many(dpp, base.substream(2, rr, mi), cfg.draws)
-                for smp in samples:
-                    idx = np.array(smp.indices, dtype=np.intp)
-                    est = float((f_vals[idx] / (density[idx] * diag[idx])).sum())
-                    errors[(m, "dpp")].append(abs(est - SPHERE_TARGET) / SPHERE_TARGET)
+                est = sphere_integral_dpp(f_vals, dpp, density, samples)
+                errors[(m, "dpp")].extend(np.abs(est - SPHERE_TARGET) / SPHERE_TARGET)
                 gen = base.substream(3, rr, mi).generator()
-                for _ in range(cfg.draws):
-                    smp = draw_with_replacement(m, iid_probs, gen)
-                    idx = np.array(smp.indices, dtype=np.intp)
-                    eps = np.array(smp.multiplicities, dtype=float)
-                    est = float(
-                        (f_vals[idx] * eps / (cfg.n * m * iid_probs[idx] * density[idx])).sum()
-                    )
-                    errors[(m, "iid")].append(abs(est - SPHERE_TARGET) / SPHERE_TARGET)
+                draws = [draw_with_replacement(m, iid_probs, gen) for _ in range(cfg.draws)]
+                est = sphere_integral_iid(f_vals, m, iid_probs, density, draws)
+                errors[(m, "iid")].extend(np.abs(est - SPHERE_TARGET) / SPHERE_TARGET)
     reps = cfg.draws * cfg.realizations
     for m in cfg.m_grid:
         for meth in ("iid", "dpp"):

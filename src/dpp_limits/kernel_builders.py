@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .point_cloud import PointCloud
+from .point_cloud import PointCloud, _read_matrix, _write_matrix
 from .rng import SeededRng, as_generator
 
 SYMMETRY_RTOL = 1e-10
@@ -374,24 +374,52 @@ def harmonic_kernel(
     return harmonic_kernel_details(cloud, m, h1, h2, profile, d_manifold).kernel
 
 
-def _harmonic_orthobasis(
+def harmonic_kernel_details(
     cloud: PointCloud,
     m: int,
     h1: float,
     h2: float,
     profile: Callable[[np.ndarray], np.ndarray],
     d_manifold: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormalized surrogate eigenfunctions plus density weights.
+) -> HarmonicDetails:
+    """As :func:`harmonic_kernel`, returning construction internals."""
+    return harmonic_kernel_family(cloud, (m,), h1, h2, profile, d_manifold)[m]
 
-    Returns ``(V, density, omega, laplacian_eigenvalues)`` where the columns
-    of ``V`` are orthonormal under the weights ``omega = 1 / (n * density)``.
+
+def harmonic_kernel_family(
+    cloud: PointCloud,
+    m_grid: Sequence[int],
+    h1: float,
+    h2: float,
+    profile: Callable[[np.ndarray], np.ndarray],
+    d_manifold: int,
+) -> dict[int, HarmonicDetails]:
+    """Harmonic kernels for every rank of ``m_grid``, sharing the spectral work.
+
+    Steps: Gaussian-weighted complete graph at bandwidth ``h1``; degree
+    double-normalization of the adjacency; normalized Laplacian
+    ``(I - D^-1 W) / h1^2``; its smallest-eigenvalue eigenvectors via the
+    similar symmetric matrix; ball-count renormalization so the vectors
+    approximate unit-norm manifold eigenfunctions; kernel density estimate
+    at bandwidth ``h2``; Gram-Schmidt under the density-corrected volume
+    weights ``omega = 1 / (n * density)``; density-reweighted projection
+    kernel; and a final division by ``max(1, lambda_max / n)`` so the
+    eigenvalues land in ``[0, n]``.  The rank-``m`` kernel is factored by
+    ``V / sqrt(scale * density)`` over the first ``m`` columns ``V`` of the
+    basis, and ``lambda_max`` is the squared top singular value of that
+    ``n x m`` factor.  Gram-Schmidt is prefix-stable, so the basis is
+    computed once, at the largest rank.
     """
+    if not m_grid:
+        return {}
     n = cloud.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m must be in [1, n] = [1, {n}], got {m}")
+    ranks = sorted(set(int(m) for m in m_grid))
+    for m in (ranks[0], ranks[-1]):
+        if not 1 <= m <= n:
+            raise ValueError(f"m must be in [1, n] = [1, {n}], got {m}")
     if h1 <= 0 or h2 <= 0:
         raise ValueError("bandwidths must be positive")
+    top = ranks[-1]
 
     D2 = squared_distances(cloud.points)
     w = np.exp(-D2 / (4.0 * h1 * h1))
@@ -410,10 +438,10 @@ def _harmonic_orthobasis(
         raise ArithmeticError(
             f"normalized Laplacian has eigenvalue {eigvals.min():.3e} below tolerance"
         )
-    # eigenvectors of the non-symmetric Laplacian, smallest m eigenvalues
-    U = inv_sqrt[:, None] * eigvecs[:, :m]
+    # eigenvectors of the non-symmetric Laplacian, smallest eigenvalues
+    U = inv_sqrt[:, None] * eigvecs[:, :top]
     # fix the sign ambiguity: largest-magnitude entry made positive
-    for i in range(m):
+    for i in range(top):
         k = int(np.argmax(np.abs(U[:, i])))
         if U[k, i] < 0:
             U[:, i] = -U[:, i]
@@ -444,77 +472,22 @@ def _harmonic_orthobasis(
         )
     omega = 1.0 / (n * density)
     V = orthonormalize_columns(U, omega)
-    return V, density, omega, eigvals
-
-
-def _assemble_harmonic(
-    V: np.ndarray,
-    density: np.ndarray,
-    omega: np.ndarray,
-    laplacian_eigenvalues: np.ndarray,
-) -> HarmonicDetails:
-    n = V.shape[0]
-    B = V * (1.0 / np.sqrt(density))[:, None]
-    # the top eigenvalue of B B^T, from the n x m factor
-    lam_max = float(np.linalg.svd(B, compute_uv=False)[0]) ** 2
-    scale = max(1.0, lam_max / n)
-    return HarmonicDetails(
-        kernel=KernelMatrix(factor=B / math.sqrt(scale)),
-        basis=V,
-        density=density,
-        omega_weights=omega,
-        laplacian_eigenvalues=laplacian_eigenvalues,
-        scale=scale,
-    )
-
-
-def harmonic_kernel_details(
-    cloud: PointCloud,
-    m: int,
-    h1: float,
-    h2: float,
-    profile: Callable[[np.ndarray], np.ndarray],
-    d_manifold: int,
-) -> HarmonicDetails:
-    """As :func:`harmonic_kernel`, returning construction internals.
-
-    Steps: Gaussian-weighted complete graph at bandwidth ``h1``; degree
-    double-normalization of the adjacency; normalized Laplacian
-    ``(I - D^-1 W) / h1^2``; its ``m`` smallest-eigenvalue eigenvectors via
-    the similar symmetric matrix; ball-count renormalization so the vectors
-    approximate unit-norm manifold eigenfunctions; kernel density estimate
-    at bandwidth ``h2``; Gram-Schmidt under the density-corrected volume
-    weights; density-reweighted projection kernel; and a final division by
-    ``max(1, lambda_max / n)`` so the eigenvalues land in ``[0, n]``.  The
-    kernel is factored by ``V / sqrt(scale * density)``, and ``lambda_max``
-    is the squared top singular value of that ``n x m`` factor.
-    """
-    return _assemble_harmonic(*_harmonic_orthobasis(cloud, m, h1, h2, profile, d_manifold))
-
-
-def harmonic_kernel_family(
-    cloud: PointCloud,
-    m_grid: Sequence[int],
-    h1: float,
-    h2: float,
-    profile: Callable[[np.ndarray], np.ndarray],
-    d_manifold: int,
-) -> dict[int, HarmonicDetails]:
-    """Harmonic kernels for several ranks, sharing the spectral work.
-
-    The Gram-Schmidt basis is prefix-stable, so the kernel for each ``m`` in
-    the grid is assembled from the first ``m`` columns computed once at the
-    largest rank.
-    """
-    if not m_grid:
-        return {}
-    V, density, omega, eigvals = _harmonic_orthobasis(
-        cloud, max(m_grid), h1, h2, profile, d_manifold
-    )
-    return {
-        m: _assemble_harmonic(V[:, :m], density, omega, eigvals)
-        for m in sorted(set(int(m) for m in m_grid))
-    }
+    inv_sqrt_density = (1.0 / np.sqrt(density))[:, None]
+    family = {}
+    for m in ranks:
+        B = V[:, :m] * inv_sqrt_density
+        # the top eigenvalue of B B^T, from the n x m factor
+        lam_max = float(np.linalg.svd(B, compute_uv=False)[0]) ** 2
+        scale = max(1.0, lam_max / n)
+        family[m] = HarmonicDetails(
+            kernel=KernelMatrix(factor=B / math.sqrt(scale)),
+            basis=V[:, :m],
+            density=density,
+            omega_weights=omega,
+            laplacian_eigenvalues=eigvals,
+            scale=scale,
+        )
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -623,35 +596,12 @@ def usvt_retained_rank(adjacency: AdjacencyMatrix, alpha: float, rho: float) -> 
 
 def save_kernel(kernel: KernelMatrix, path: str) -> None:
     """Write a kernel matrix as ``n=<n>`` header plus one row per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n={kernel.n}\n")
-        for row in kernel.entries:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    _write_matrix(path, "n", kernel.entries)
 
 
 def load_kernel(path: str) -> KernelMatrix:
     """Read a kernel matrix written by :func:`save_kernel`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError(f"{path}: line 1: expected header 'n=<n>'")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"{path}: line 1: malformed size {lines[0][2:]!r}") from None
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != n:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {n} entries, got {len(parts)}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: unparseable entry") from None
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} rows, got {len(rows)}")
-    return KernelMatrix(np.array(rows, dtype=float) if rows else np.empty((0, 0)))
+    K = _read_matrix(path, "n", 0)
+    if K.shape[0] != K.shape[1]:
+        raise ValueError(f"{path}: expected {K.shape[1]} rows, got {K.shape[0]}")
+    return KernelMatrix(K)

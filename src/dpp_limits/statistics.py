@@ -89,33 +89,52 @@ def _subset_det(K: np.ndarray, subset: tuple[int, ...]) -> float:
     return float(np.linalg.det(K[np.ix_(subset, subset)]))
 
 
-def expected_linear_statistic(
-    kernel: KernelMatrix, cloud: PointCloud, phi: TestFunction
+def _tuple_sum(
+    cloud: PointCloud,
+    phi: TestFunction,
+    diagonal_sum: Callable[[np.ndarray], float],
+    subset_det: Callable[[tuple[int, ...]], float],
 ) -> float:
-    """Exact expectation of the linear statistic under the kernel.
+    """Full r-tuple sum ``sum phi * det(K_tuple) / n^r``.
 
-    Computed by full r-tuple summation; repeated-index tuples vanish, so
-    the sum runs over index subsets times orderings.
+    Repeated-index tuples vanish, so the sum runs over index subsets times
+    orderings.  At r = 1 it is ``diagonal_sum(phi_vals) / n``, where
+    ``diagonal_sum`` weighs the values of ``phi`` at the points by the
+    diagonal of ``K``; above, ``subset_det`` gives ``det(K_subset)``.
     """
     n = cloud.n
-    if kernel.n != n:
-        raise ValueError("kernel size does not match the cloud")
     r = phi.arity
     _check_tuple_budget(n, r)
     pts = cloud.points
     if r == 1:
-        phi_vals = np.array([phi(pts[i]) for i in range(n)])
-        return float(phi_vals @ kernel.diagonal()) / n
-    K = kernel.entries
+        return diagonal_sum(np.array([phi(pts[i]) for i in range(n)])) / n
     total = 0.0
     for subset in itertools.combinations(range(n), r):
-        det = _subset_det(K, subset)
+        det = subset_det(subset)
         if det == 0.0:
             continue
         total += det * sum(
             phi(*(pts[i] for i in perm)) for perm in itertools.permutations(subset)
         )
     return total / n**r
+
+
+def expected_linear_statistic(
+    kernel: KernelMatrix, cloud: PointCloud, phi: TestFunction
+) -> float:
+    """Exact expectation of the linear statistic under the kernel.
+
+    Computed by full r-tuple summation; at r = 1 only the kernel diagonal
+    is read, so a factored kernel stays unbuilt.
+    """
+    if kernel.n != cloud.n:
+        raise ValueError("kernel size does not match the cloud")
+    return _tuple_sum(
+        cloud,
+        phi,
+        lambda phi_vals: float(phi_vals @ kernel.diagonal()),
+        lambda subset: _subset_det(kernel.entries, subset),
+    )
 
 
 def empirical_moments(
@@ -160,28 +179,19 @@ def expected_statistic_continuous(
     Evaluates kernel entries on demand, so 1-point statistics stay cheap on
     very large clouds (only the diagonal is needed).
     """
-    n = cloud.n
-    r = phi.arity
-    _check_tuple_budget(n, r)
     pts = cloud.points
-    if r == 1:
-        phi_vals = np.array([phi(pts[i]) for i in range(n)])
+
+    def diagonal_sum(phi_vals: np.ndarray) -> float:
         if kernel.diagonal_value is not None:
-            return float(phi_vals.sum()) * kernel.diagonal_value / n
-        diag = np.array([kernel.fn(pts[i], pts[i]) for i in range(n)])
-        return float(phi_vals @ diag) / n
-    total = 0.0
-    for subset in itertools.combinations(range(n), r):
-        sub = np.array(
-            [[kernel.fn(pts[i], pts[j]) for j in subset] for i in subset]
-        )
-        det = float(np.linalg.det(sub))
-        if det == 0.0:
-            continue
-        total += det * sum(
-            phi(*(pts[i] for i in perm)) for perm in itertools.permutations(subset)
-        )
-    return total / n**r
+            return float(phi_vals.sum()) * kernel.diagonal_value
+        diag = np.array([kernel.fn(pts[i], pts[i]) for i in range(cloud.n)])
+        return float(phi_vals @ diag)
+
+    def subset_det(subset: tuple[int, ...]) -> float:
+        sub = np.array([[kernel.fn(pts[i], pts[j]) for j in subset] for i in subset])
+        return float(np.linalg.det(sub))
+
+    return _tuple_sum(cloud, phi, diagonal_sum, subset_det)
 
 
 def measure_error(

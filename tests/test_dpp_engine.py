@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,3 +398,30 @@ def test_sample_many_raises_like_single_draws():
     # the lockstep chain itself trips the check, not only the replay
     with pytest.raises(ArithmeticError, match=below):
         dpp_engine._lockstep_chain(V, SeededRng(3).generator().random((5, 3)))
+
+
+def test_sample_many_block_stays_within_budget(monkeypatch):
+    # the n = 8 spectrum (0.9, 0.6, 0.3, 0, ...) of the checks runner's
+    # scale: three fractional eigenvalues make phase one walk the buffer
+    n = 8
+    lam = np.zeros(n)
+    lam[-3:] = n * np.array([0.3, 0.6, 0.9])
+    dpp = validate_kernel(random_valid_kernel(n, SeededRng(1), eigenvalues=lam))
+    draw_block = dpp_engine._draw_block
+    sizes, peaks = [], []
+
+    def measured(dpp, gen, count):
+        tracemalloc.start()
+        try:
+            out = draw_block(dpp, gen, count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(count)
+        return out
+
+    monkeypatch.setattr(dpp_engine, "_draw_block", measured)
+    count = 40_000
+    assert len(sample_dpp_many(dpp, SeededRng(2), count)) == count
+    assert sizes[0] < count  # the first block is as large as the budget allows
+    assert peaks[0] <= dpp_engine._BLOCK_BYTES

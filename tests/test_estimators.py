@@ -16,6 +16,8 @@ from dpp_limits import (
     normalized_indicator_profile,
     ope_kernel,
     quantile_relative_error,
+    sample_dpp,
+    sample_dpp_many,
     sample_uniform_cube,
     sample_uniform_sphere,
     sensitivity_scores,
@@ -89,18 +91,22 @@ def test_sensitivity_degenerate_cloud_uniform():
 def test_iid_estimate_single_point_exact():
     cloud = PointCloud(np.array([[0.5, 0.5]]))
     theta = np.array([0.0, 1.0])
-    est = coreset_estimate_iid(cloud, theta, 3, np.array([1.0]), SeededRng(1))
-    assert est.value == pytest.approx(true_loss(cloud, theta))
+    p = np.array([1.0])
+    draws = [draw_with_replacement(3, p, SeededRng(1))]
+    est = coreset_estimate_iid(cloud, theta[None], 3, p, draws)
+    assert est.shape == (1, 1)
+    assert est[0, 0] == pytest.approx(true_loss(cloud, theta))
 
 
 def test_iid_estimate_m1_formula():
     cloud = cube(6, seed=6)
     theta = np.array([0.2, -0.3])
     p = sensitivity_scores(cloud)
-    est = coreset_estimate_iid(cloud, theta, 1, p, SeededRng(2))
-    j = est.sample.indices[0]
+    smp = draw_with_replacement(1, p, SeededRng(2))
+    est = coreset_estimate_iid(cloud, theta[None], 1, p, [smp])
+    j = smp.indices[0]
     expect = float(((cloud.points[j] - theta) ** 2).sum()) / p[j]
-    assert est.value == pytest.approx(expect)
+    assert est[0, 0] == pytest.approx(expect)
 
 
 def test_iid_estimate_unbiased():
@@ -110,9 +116,8 @@ def test_iid_estimate_unbiased():
     p = sensitivity_scores(cloud)
     gen = SeededRng(8).generator()
     reps = 100_000
-    vals = np.array(
-        [coreset_estimate_iid(cloud, theta, 4, p, gen).value for _ in range(reps)]
-    )
+    draws = [draw_with_replacement(4, p, gen) for _ in range(reps)]
+    vals = coreset_estimate_iid(cloud, theta[None], 4, p, draws)[:, 0]
     band = 4.0 * vals.std() / math.sqrt(reps)
     assert abs(vals.mean() - target) <= band
 
@@ -120,21 +125,25 @@ def test_iid_estimate_unbiased():
 def test_dpp_estimate_full_kernel_exact():
     n = 10
     cloud = cube(n, seed=9)
-    theta = np.array([-0.2, 0.2])
     dpp = validate_kernel(KernelMatrix(n * np.eye(n)))
-    est = coreset_estimate_dpp(cloud, theta, dpp, SeededRng(3))
-    assert est.sample.indices == tuple(range(n))
-    assert est.value == pytest.approx(true_loss(cloud, theta))
+    samples = sample_dpp_many(dpp, SeededRng(3), 1)
+    assert samples[0].indices == tuple(range(n))
+    # one theta, and a grid of them as the coreset runner evaluates
+    grid = SeededRng(14).generator().uniform(-1.0, 1.0, (50, 2))
+    for thetas in (np.array([[-0.2, 0.2]]), grid):
+        est = coreset_estimate_dpp(cloud, thetas, dpp, samples)
+        assert est.shape == (1, len(thetas))
+        assert est[0] == pytest.approx([true_loss(cloud, t) for t in thetas])
 
 
 def test_dpp_estimate_projection_cardinality():
     n, m = 40, 6
     cloud = cube(n, seed=10)
     dpp = validate_kernel(ope_kernel(cloud, m))
-    for i in range(20):
-        est = coreset_estimate_dpp(cloud, np.zeros(2), dpp, SeededRng(4, i))
-        assert len(est.sample) == m
-        assert (est.weights > 0).all()
+    samples = [sample_dpp(dpp, SeededRng(4, i)) for i in range(20)]
+    est = coreset_estimate_dpp(cloud, np.zeros((1, 2)), dpp, samples)
+    assert all(len(smp) == m for smp in samples)
+    assert (est > 0).all()
 
 
 def test_dpp_estimate_unbiased():
@@ -143,11 +152,9 @@ def test_dpp_estimate_unbiased():
     theta = np.array([0.3, 0.1])
     target = true_loss(cloud, theta)
     dpp = validate_kernel(ope_kernel(cloud, m))
-    gen = SeededRng(12).generator()
     reps = 100_000
-    vals = np.array(
-        [coreset_estimate_dpp(cloud, theta, dpp, gen).value for _ in range(reps)]
-    )
+    samples = sample_dpp_many(dpp, SeededRng(12), reps)
+    vals = coreset_estimate_dpp(cloud, theta[None], dpp, samples)[:, 0]
     band = 4.0 * vals.std() / math.sqrt(reps)
     assert abs(vals.mean() - target) <= band
 
@@ -157,8 +164,9 @@ def test_dpp_estimate_rejects_zero_diagonal():
     K = np.zeros((n, n))
     K[0, 0] = 1.0
     dpp = validate_kernel(KernelMatrix(K))
+    samples = sample_dpp_many(dpp, SeededRng(5), 1)
     with pytest.raises(ValueError, match="diagonal"):
-        coreset_estimate_dpp(cube(n, seed=13), np.zeros(2), dpp, SeededRng(5))
+        coreset_estimate_dpp(cube(n, seed=13), np.zeros((1, 2)), dpp, samples)
 
 
 # --- sphere estimators -------------------------------------------------------
@@ -173,39 +181,38 @@ def _sphere_setup(n=60, seed=20):
 
 def test_sphere_zero_function_zero():
     cloud, e_p = _sphere_setup()
-    est = sphere_integral_iid(cloud, lambda x: 0.0, 5, e_p, SeededRng(1))
-    assert est.value == 0.0
+    p = e_p / e_p.sum()
+    draws = [draw_with_replacement(5, p, SeededRng(1))]
+    est = sphere_integral_iid(np.zeros(cloud.n), 5, p, e_p, draws)
+    assert est[0] == 0.0
 
 
 def test_sphere_dpp_full_kernel_exact():
     cloud, e_p = _sphere_setup(n=20)
     n = cloud.n
     dpp = validate_kernel(KernelMatrix(n * np.eye(n)))
-    f = lambda x: float(x[2] ** 2)  # noqa: E731
-    target = float((cloud.points[:, 2] ** 2 / (n * e_p)).sum())
-    est = sphere_integral_dpp(cloud, f, dpp, e_p, SeededRng(2))
-    assert est.value == pytest.approx(target)
+    f_vals = cloud.points[:, 2] ** 2
+    target = float((f_vals / (n * e_p)).sum())
+    est = sphere_integral_dpp(f_vals, dpp, e_p, sample_dpp_many(dpp, SeededRng(2), 1))
+    assert est[0] == pytest.approx(target)
 
 
 def test_sphere_estimators_unbiased_for_discrete_target():
     cloud, e_p = _sphere_setup(n=40)
     n = cloud.n
-    f = lambda x: float(x[2] ** 2)  # noqa: E731
-    target = float((cloud.points[:, 2] ** 2 / (n * e_p)).sum())
+    f_vals = cloud.points[:, 2] ** 2
+    target = float((f_vals / (n * e_p)).sum())
     m = 6
+    p = e_p / e_p.sum()
     gen = SeededRng(3).generator()
     reps = 100_000
-    vals = np.array(
-        [sphere_integral_iid(cloud, f, m, e_p, gen).value for _ in range(reps)]
-    )
+    draws = [draw_with_replacement(m, p, gen) for _ in range(reps)]
+    vals = sphere_integral_iid(f_vals, m, p, e_p, draws)
     band = 4.0 * vals.std() / math.sqrt(reps)
     assert abs(vals.mean() - target) <= band
 
     dpp = validate_kernel(ope_kernel(cloud, m))
-    gen = SeededRng(4).generator()
-    dvals = np.array(
-        [sphere_integral_dpp(cloud, f, dpp, e_p, gen).value for _ in range(reps)]
-    )
+    dvals = sphere_integral_dpp(f_vals, dpp, e_p, sample_dpp_many(dpp, SeededRng(4), reps))
     band = 4.0 * dvals.std() / math.sqrt(reps)
     assert abs(dvals.mean() - target) <= band
 
@@ -215,7 +222,7 @@ def test_sphere_rejects_nonpositive_density():
     bad = e_p.copy()
     bad[3] = 0.0
     with pytest.raises(ValueError, match="density"):
-        sphere_integral_iid(cloud, lambda x: 1.0, 2, bad, SeededRng(0))
+        sphere_integral_iid(np.ones(cloud.n), 2, e_p / e_p.sum(), bad, [])
 
 
 # --- quantile ----------------------------------------------------------------
