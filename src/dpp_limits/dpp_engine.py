@@ -28,6 +28,8 @@ NEGATIVE_PROB_TOL = 1e-12
 # working-set cap of one block of sample_dpp_many: its phase-one uniforms
 # and the lockstep chain's W, d, cum and col arrays
 _BLOCK_BYTES = 1 << 24
+# single draws up to this size run the pure-Python chain
+_SMALL_N = 24
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,6 @@ class ValidatedDpp:
     def n(self) -> int:
         return self.kernel.n
 
-    def bernoulli_probabilities(self) -> np.ndarray:
-        """Per-eigenvector selection probabilities, snapped near {0, 1}."""
-        return self._q
-
     def is_projection(self) -> bool:
         """True when every eigenvalue sits at 0 or n to snap tolerance."""
         return self._is_projection
@@ -159,23 +157,15 @@ def validate_kernel(kernel: KernelMatrix, tol: float = EIGENVALUE_CLAMP_RTOL) ->
     return ValidatedDpp(kernel, clamped, eigvecs)
 
 
-def _conditional_chain(
-    projector: np.ndarray | None,
-    V: np.ndarray | None,
-    diag: np.ndarray,
-    rank: int,
-    gen: np.random.Generator,
-) -> np.ndarray:
-    """Sample ``rank`` indices sequentially from a projection kernel.
+def _conditional_chain(projector: np.ndarray, rank: int, gen: np.random.Generator) -> np.ndarray:
+    """Sample ``rank`` indices sequentially from a rank-``rank`` projector.
 
-    The kernel is either an explicit projector matrix or the implicit
-    ``V V^T`` of orthonormal columns.  Maintains the residual conditional
-    diagonal through incremental Cholesky pivots; each step the residual
-    probability vector is clamped (values in ``[-1e-12, 0)`` to 0) and
-    renormalized.
+    Maintains the residual conditional diagonal through incremental
+    Cholesky pivots; each step the residual probability vector is clamped
+    (values in ``[-1e-12, 0)`` to 0) and renormalized.
     """
-    n = diag.shape[0]
-    d = diag.astype(float, copy=True)
+    n = projector.shape[0]
+    d = projector.diagonal().astype(float, copy=True)
     C = np.empty((rank, n))
     chosen = np.empty(rank, dtype=np.intp)
     for t in range(rank):
@@ -197,7 +187,7 @@ def _conditional_chain(
         piv = d[j]
         if piv <= 0.0:
             raise ArithmeticError(f"selected index {j} has nonpositive residual mass")
-        col = projector[j].copy() if projector is not None else V @ V[j]
+        col = projector[j].copy()
         if t:
             col -= C[:t].T @ C[:t, j]
         col /= np.sqrt(piv)
@@ -269,22 +259,16 @@ def _draw_once(dpp: ValidatedDpp, gen: np.random.Generator) -> IndexSample:
     rank = int(selected.sum())
     if rank == 0:
         return IndexSample(())
-    if dpp._is_projection:
-        P = dpp.projection_matrix()
-        diag = P.diagonal()
-    elif n <= 2 * rank or n <= 24:
-        # explicit projector is cheaper than per-step matvecs here
+    if n <= _SMALL_N:
+        # for a projection kernel the selection is q == 1, so this is the
+        # cached projector bit for bit
         V = dpp._columns(selected)
         P = V @ V.T
-        diag = P.diagonal()
-    else:
-        V = dpp._columns(selected)
-        idx = _conditional_chain(None, V, np.einsum("ij,ij->i", V, V), rank, gen)
-        return IndexSample(idx.tolist())
-    if n <= 24:
-        return IndexSample(_chain_small(P, diag, rank, gen))
-    idx = _conditional_chain(P, None, diag, rank, gen)
-    return IndexSample(idx.tolist())
+        return IndexSample(_chain_small(P, P.diagonal(), rank, gen))
+    if dpp._is_projection:
+        return IndexSample(_conditional_chain(dpp.projection_matrix(), rank, gen).tolist())
+    V = dpp._columns(selected)
+    return IndexSample(_lockstep_chain(V, gen.random((1, rank)))[0].tolist())
 
 
 def sample_dpp(dpp: ValidatedDpp, rng: SeededRng | np.random.Generator) -> IndexSample:
@@ -366,8 +350,6 @@ def _phase_one(
     """
     n, fq = q.size, q[frac]
     step = n + int(np.count_nonzero(q == 1.0))
-    if not frac.size:
-        return gen.random(count * step), np.arange(count) * step, np.empty((count, 0), bool)
     state = gen.bit_generator.state
     buf = gen.random(count * (step + frac.size))
     # the start of the next draw after a draw starting at every position

@@ -152,7 +152,7 @@ def _parse_value(kind: str, key: str, raw: str, template) -> object:
             return float(raw)
         if isinstance(template, tuple):
             items = [s.strip() for s in raw.split(",") if s.strip()]
-            if template and isinstance(template[0], int) or key.endswith("_grid"):
+            if template and isinstance(template[0], int):
                 return tuple(int(s) for s in items)
             return tuple(items)
         return raw

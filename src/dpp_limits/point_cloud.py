@@ -69,7 +69,7 @@ def sample_uniform_sphere(n: int, rng: SeededRng) -> PointCloud:
     pts = gen.standard_normal(size=(n, 3))
     norms = np.linalg.norm(pts, axis=1)
     # a zero draw has probability zero but would divide by zero; redraw
-    while (degenerate := norms < 1e-12).any():
+    while (degenerate := norms < SPHERE_NORM_TOL).any():
         pts[degenerate] = gen.standard_normal(size=(int(degenerate.sum()), 3))
         norms = np.linalg.norm(pts, axis=1)
     return PointCloud(pts / norms[:, None])

@@ -80,10 +80,7 @@ def _check_tuple_budget(n: int, r: int) -> None:
 
 
 def _subset_det(K: np.ndarray, subset: tuple[int, ...]) -> float:
-    r = len(subset)
-    if r == 1:
-        return float(K[subset[0], subset[0]])
-    if r == 2:
+    if len(subset) == 2:
         i, j = subset
         return float(K[i, i] * K[j, j] - K[i, j] * K[j, i])
     return float(np.linalg.det(K[np.ix_(subset, subset)]))

@@ -380,16 +380,25 @@ def test_sample_many_rejects_negative_count():
         sample_dpp_many(dpp, SeededRng(0), -1)
 
 
-def test_sample_many_raises_like_single_draws():
+# one case per single-draw route: the pure-Python chain (n <= 24), the
+# cached projector, and the lockstep chain at one draw
+@pytest.mark.parametrize(
+    "n,fractions",
+    [(8, (1.0, 1.0, 1.0)), (40, (1.0, 1.0, 1.0)), (40, (0.9, 0.8, 0.7))],
+    ids=["small", "projector", "lockstep"],
+)
+def test_sample_many_raises_like_single_draws(n, fractions):
     # three copies of one large column are not orthonormal, so the chain's
     # residuals after the first step are rounding noise of order 1e-5 with
     # both signs, far below -NEGATIVE_PROB_TOL
-    n = 40
     col = 1e6 * SeededRng(2).generator().standard_normal(n) / math.sqrt(n)
     V = np.repeat(col[:, None], 3, axis=1)
     eigenvalues = np.zeros(n)
-    eigenvalues[-3:] = n
+    eigenvalues[-3:] = n * np.asarray(fractions)
     dpp = ValidatedDpp(KernelMatrix(factor=V), eigenvalues, V)
+    # the first draw keeps at least two columns, so its chain has a
+    # residual step
+    assert np.count_nonzero(SeededRng(3).generator().random(n) < dpp._q) >= 2
     below = "conditional probability .* below"
     with pytest.raises(ArithmeticError, match=below):
         sample_dpp(dpp, SeededRng(3))

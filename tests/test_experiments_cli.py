@@ -1,4 +1,7 @@
+import hashlib
 import math
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -255,3 +258,66 @@ def test_shipped_configs_parse():
     for kind in ("coreset", "sphere", "usvt", "checks"):
         cfg = load_config(f"configs/{kind}.cfg", kind)
         assert cfg.seed >= 0
+
+
+# --- pinned CSV bytes --------------------------------------------------------
+
+# reduced-scale configs whose CSV md5s were recorded on the host below; the
+# checks config is the shipped one
+_PINNED_CONFIGS = {
+    "coreset": "[coreset]\nn = 1000\nd = 2\nm_grid = 1, 2, 4, 8, 16, 32, 64, 128, 256\n"
+    "draws = 20\ntheta_count = 100\nrealizations = 2\nseed = 20240601\n",
+    "sphere": "[sphere]\nn = 1000\nm_grid = 1, 2, 4, 8, 16, 32, 64, 128\ndraws = 100\n"
+    "realizations = 2\nseed = 20240602\n",
+    "usvt": "[usvt]\nn_grid = 200, 400, 800\nd = 2\nalpha = 1.0\nc = 0.6\nrho = 0.15\n"
+    "kernel_scale = 1.0\nreplicates = 2\nseed = 20240603\n",
+}
+_PINNED_MD5 = {
+    "coreset": "9d9ffba025e1eab6150de8600aff914b",
+    "sphere": "19d29cf6d482cf759d6c4d377732507b",
+    "usvt": "771f7929ce3df68803b609202a88f705",
+    "checks": "dc201798415577428c8277ee0d0b2547",
+}
+# the last bits of eigensolvers and GEMMs depend on all four; the sphere
+# and usvt md5s change with 2 BLAS threads
+_PINNED_HOST = {
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "cpu": "Intel(R) Xeon(R) Processor",
+    "blas threads": "1",
+}
+
+
+def _host_fingerprint():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    threads = (
+        os.environ.get("OPENBLAS_NUM_THREADS")
+        or os.environ.get("OMP_NUM_THREADS")
+        or str(os.cpu_count())
+    )
+    return {"numpy": np.__version__, "blas": blas, "cpu": cpu, "blas threads": threads}
+
+
+def test_reduced_scale_csv_bytes_pinned(tmp_path):
+    here = _host_fingerprint()
+    differ = [f"{k} {here[k]!r}, recorded {v!r}" for k, v in _PINNED_HOST.items() if here[k] != v]
+    if differ:
+        pytest.skip("CSV md5s were recorded elsewhere: " + "; ".join(differ))
+    with open("configs/checks.cfg", encoding="utf-8") as fh:
+        texts = dict(_PINNED_CONFIGS, checks=fh.read())
+    got = {}
+    for kind, text in texts.items():
+        cfg, out = write(tmp_path, f"{kind}.cfg", text), tmp_path / f"{kind}.csv"
+        assert main([kind, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        got[kind] = hashlib.md5(out.read_bytes()).hexdigest()
+    assert got == _PINNED_MD5
