@@ -31,6 +31,14 @@ from .rng import SeededRng, as_generator
 
 SYMMETRY_RTOL = 1e-10
 GS_RTOL = 1e-10
+# block subspace iteration of the harmonic builder: columns beyond the top
+# rank, convergence bound on the worst Ritz residual relative to mu_1, the
+# iteration cap past which it raises, and the private stream of its start
+# block, so that reruns are byte-identical whatever the caller's generators
+_SUBSPACE_OVERSAMPLE = 32
+_RITZ_RTOL = 1e-14
+_SUBSPACE_MAX_ITERATIONS = 20
+_SUBSPACE_START = SeededRng(0x48415252)
 
 
 class KernelMatrix:
@@ -353,8 +361,11 @@ class HarmonicDetails:
     basis: np.ndarray  # surrogate eigenfunctions v_i, orthonormal under omega
     density: np.ndarray  # kernel density estimate at each point
     omega_weights: np.ndarray  # 1 / (n * density)
+    # the smallest max(m_grid) normalized-Laplacian eigenvalues, ascending
     laplacian_eigenvalues: np.ndarray
     scale: float  # max(1, lambda_max / n) divisor applied at the end
+    ritz_residual: float  # worst ||M u_i - mu_i u_i|| of the top pairs / mu_1
+    subspace_iterations: int  # block subspace iterations until convergence
 
     @cached_property
     def aux_kernel(self) -> np.ndarray:
@@ -398,8 +409,10 @@ def harmonic_kernel_family(
 
     Steps: Gaussian-weighted complete graph at bandwidth ``h1``; degree
     double-normalization of the adjacency; normalized Laplacian
-    ``(I - D^-1 W) / h1^2``; its smallest-eigenvalue eigenvectors via the
-    similar symmetric matrix; ball-count renormalization so the vectors
+    ``(I - D^-1 W) / h1^2``; its ``max(m_grid)`` smallest-eigenvalue
+    eigenvectors, from the top eigenpairs of the similar symmetric matrix
+    ``D^-1/2 W D^-1/2`` by block subspace iteration (``_top_eigenpairs``;
+    no ``n x n`` eigendecomposition); ball-count renormalization so the vectors
     approximate unit-norm manifold eigenfunctions; kernel density estimate
     at bandwidth ``h2``; Gram-Schmidt under the density-corrected volume
     weights ``omega = 1 / (n * density)``; density-reweighted projection
@@ -430,16 +443,18 @@ def harmonic_kernel_family(
     W = w / np.outer(deg, deg)
     row = W.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(row)
-    # symmetric matrix similar to (I - D^-1 W) / h1^2; same spectrum
-    S = (np.eye(n) - (inv_sqrt[:, None] * W) * inv_sqrt[None, :]) / (h1 * h1)
-    S = (S + S.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(S)
-    if eigvals.min() < -1e-8 * max(1.0, float(eigvals.max())):
+    # M = D^-1/2 W D^-1/2 is similar to D^-1 W, so (I - M) / h1^2 has the
+    # spectrum of the normalized Laplacian and M's spectrum lies in [-1, 1]
+    mu, eigvecs, residual, iterations = _top_eigenpairs(
+        lambda X: inv_sqrt[:, None] * (W @ (inv_sqrt[:, None] * X)), n, top
+    )
+    eigvals = (1.0 - mu) / (h1 * h1)
+    if eigvals.min() < -1e-8 * max(1.0, 2.0 / (h1 * h1)):
         raise ArithmeticError(
             f"normalized Laplacian has eigenvalue {eigvals.min():.3e} below tolerance"
         )
     # eigenvectors of the non-symmetric Laplacian, smallest eigenvalues
-    U = inv_sqrt[:, None] * eigvecs[:, :top]
+    U = inv_sqrt[:, None] * eigvecs
     # fix the sign ambiguity: largest-magnitude entry made positive
     for i in range(top):
         k = int(np.argmax(np.abs(U[:, i])))
@@ -486,8 +501,45 @@ def harmonic_kernel_family(
             omega_weights=omega,
             laplacian_eigenvalues=eigvals,
             scale=scale,
+            ritz_residual=residual,
+            subspace_iterations=iterations,
         )
     return family
+
+
+def _top_eigenpairs(
+    apply: Callable[[np.ndarray], np.ndarray], n: int, top: int
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Top ``top`` eigenpairs of a symmetric ``n x n`` operator, descending.
+
+    Block subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp,
+    SIAM Review 2011) on ``p = min(n, top + _SUBSPACE_OVERSAMPLE)`` columns
+    from a fixed start block: each iteration orthonormalizes the block
+    ``Y = M X`` to ``Q``, applies ``M`` once more and solves the ``p x p``
+    eigenproblem of ``Q^T M Q``.  It stops once the worst residual
+    ``||M u_i - mu_i u_i||`` of the top Ritz pairs is at most
+    ``_RITZ_RTOL * mu_1`` and returns the values, the ``n x top`` vectors,
+    that residual over ``mu_1`` and the iteration count; past
+    ``_SUBSPACE_MAX_ITERATIONS`` it raises ``ArithmeticError``.  At
+    ``p = n`` one iteration is a dense solve.
+    """
+    p = min(n, top + _SUBSPACE_OVERSAMPLE)
+    Y = apply(_SUBSPACE_START.generator().standard_normal((n, p)))
+    for iteration in range(1, _SUBSPACE_MAX_ITERATIONS + 1):
+        Q = np.linalg.qr(Y)[0]
+        Y = apply(Q)
+        H = Q.T @ Y
+        ritz, G = np.linalg.eigh((H + H.T) / 2.0)
+        mu, G = ritz[: -top - 1 : -1], G[:, : -top - 1 : -1]
+        U = Q @ G
+        residual = float(np.linalg.norm(Y @ G - U * mu, axis=0).max())
+        if residual <= _RITZ_RTOL * mu[0]:
+            return mu, U, residual / mu[0], iteration
+    raise ArithmeticError(
+        f"subspace iteration for the top {top} eigenpairs did not converge in "
+        f"{_SUBSPACE_MAX_ITERATIONS} iterations: worst Ritz residual "
+        f"{residual / mu[0]:.3e} of mu_1, above {_RITZ_RTOL:.0e}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from dpp_limits import (
     usvt_retained_rank,
     validate_kernel,
 )
+from dpp_limits import kernel_builders
 from dpp_limits.kernel_builders import squared_distances
 
 
@@ -272,6 +273,60 @@ def test_harmonic_rejects_bad_bandwidths():
     annulus = lambda t: np.where((np.asarray(t) > 0.5) & (np.asarray(t) <= 1.0), 1.0, 0.0)  # noqa: E731
     with pytest.raises(ValueError, match="density"):
         harmonic_kernel(cloud, 3, 0.5, 1e-6, annulus, 2)
+
+
+def test_harmonic_basis_agrees_with_dense_eigh():
+    # dense oracle: eigh of S = (I - D^-1/2 W D^-1/2) / h1^2; Gram-Schmidt
+    # keeps prefix spans, so basis[:, :k] spans D^-1/2 times S's first k
+    # eigenvectors wherever their gap makes those well determined
+    top = 64
+    cloud, h1, h2, prof = _sphere_setup(n=600)
+    det = harmonic_kernel_details(cloud, top, h1, h2, prof, 2)
+    assert det.ritz_residual <= 1e-14
+    w = np.exp(-squared_distances(cloud.points) / (4.0 * h1 * h1))
+    deg = w.sum(axis=1)
+    W = w / np.outer(deg, deg)
+    inv_sqrt = 1.0 / np.sqrt(W.sum(axis=1))
+    M = (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
+    eigvals, eigvecs = np.linalg.eigh((np.eye(cloud.n) - (M + M.T) / 2.0) / (h1 * h1))
+    assert det.laplacian_eigenvalues.shape == (top,)
+    assert np.abs(det.laplacian_eigenvalues - eigvals[:top]).max() <= 1e-12 / (h1 * h1)
+    mu = 1.0 - eigvals * (h1 * h1)
+    bound = np.finfo(float).eps * np.abs(mu).max() / (mu[:top] - mu[1 : top + 1])
+    checked = [k for k in range(1, top + 1) if bound[k - 1] <= 1e-8]
+    assert len(checked) >= top // 2
+    for k in checked:
+        A = np.linalg.qr(det.basis[:, :k])[0]
+        B = np.linalg.qr(inv_sqrt[:, None] * eigvecs[:, :k])[0]
+        assert np.linalg.norm(B - A @ (A.T @ B), 2) <= 1e-6, k
+
+
+def test_harmonic_partial_eigensolver_structure_determinism_and_cap(monkeypatch):
+    cloud, h1, h2, prof = _sphere_setup(n=400)
+    eigh, shapes = np.linalg.eigh, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", spy)
+        first = harmonic_kernel_family(cloud, (4, 16), h1, h2, prof, 2)
+    # only the p x p Rayleigh-Ritz problems, p = 16 + 32
+    assert shapes and max(max(s) for s in shapes) <= 48
+    assert len(shapes) == first[16].subspace_iterations
+    # the start block comes from a private stream, not from any caller's
+    np.random.random(1000)
+    np.random.default_rng(1).standard_normal(1000)
+    second = harmonic_kernel_family(cloud, (4, 16), h1, h2, prof, 2)
+    for m in (4, 16):
+        assert first[m].kernel.factor.tobytes() == second[m].kernel.factor.tobytes()
+
+    cloud, h1, h2, prof = _sphere_setup(n=300)
+    assert harmonic_kernel_details(cloud, 16, h1, h2, prof, 2).subspace_iterations > 1
+    monkeypatch.setattr(kernel_builders, "_SUBSPACE_MAX_ITERATIONS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 iterations: worst Ritz residual"):
+        harmonic_kernel(cloud, 16, h1, h2, prof, 2)
 
 
 # --- factored projection kernels -------------------------------------------
