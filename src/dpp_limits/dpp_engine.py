@@ -113,11 +113,12 @@ class ValidatedDpp:
         return self.eigenvectors[:, selected[self._offset :]]
 
 
-def validate_kernel(kernel: KernelMatrix, tol: float = EIGENVALUE_CLAMP_RTOL) -> ValidatedDpp:
+def validate_kernel(kernel: KernelMatrix) -> ValidatedDpp:
     """Check the eigenvalue-in-[0, n] existence condition.
 
-    Eigenvalues inside ``[-tol*n, n*(1+tol)]`` are clamped to ``[0, n]``;
-    anything further out raises with the violating value.  A factored
+    Eigenvalues inside ``[-tol*n, n*(1+tol)]`` with
+    ``tol = EIGENVALUE_CLAMP_RTOL`` are clamped to ``[0, n]``; anything
+    further out raises with the violating value.  A factored
     kernel ``K = B B^T`` is decomposed by a thin SVD of its ``n x m``
     factor, in ``O(n m^2)``: the squared singular values are the top ``m``
     eigenvalues, the rest are 0, and the reconstruction is checked on the
@@ -132,7 +133,7 @@ def validate_kernel(kernel: KernelMatrix, tol: float = EIGENVALUE_CLAMP_RTOL) ->
         eigvecs, Wt = U[:, ::-1], Wt[::-1]
     else:
         eigvals, eigvecs = np.linalg.eigh(kernel.entries) if n else (np.empty(0), np.empty((0, 0)))
-    slack = tol * max(n, 1)
+    slack = EIGENVALUE_CLAMP_RTOL * max(n, 1)
     if n and eigvals[0] < -slack:
         raise ValueError(
             f"eigenvalue {eigvals[0]:.6g} below 0 beyond tolerance {slack:.3g}"

@@ -54,7 +54,7 @@ def draw_with_replacement(
     gen = as_generator(rng)
     counts = np.bincount(gen.choice(p.shape[0], size=m, p=p), minlength=p.shape[0])
     retained = np.flatnonzero(counts)
-    return IndexSample(tuple(int(i) for i in retained), tuple(int(c) for c in counts[retained]))
+    return IndexSample(retained.tolist(), counts[retained].tolist())
 
 
 def loss_on_grid(points: np.ndarray, weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ SYMMETRY_RTOL = 1e-10
 GS_RTOL = 1e-10
 # block subspace iteration of the harmonic builder: columns beyond the top
 # rank, convergence bound on the worst Ritz residual relative to mu_1, the
-# iteration cap past which it raises, and the private stream of its start
-# block, so that reruns are byte-identical whatever the caller's generators
+# iteration cap per block width, and the private stream of its start block,
+# so that reruns are byte-identical whatever the caller's generators
 _SUBSPACE_OVERSAMPLE = 32
 _RITZ_RTOL = 1e-14
 _SUBSPACE_MAX_ITERATIONS = 20
@@ -265,13 +265,11 @@ def _legendre_tensor_matrix(cloud: PointCloud, indices: Sequence[MultiIndex]) ->
     return M
 
 
-def orthonormalize_columns(
-    M: np.ndarray, weights: np.ndarray, rtol: float = GS_RTOL
-) -> np.ndarray:
+def orthonormalize_columns(M: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gram-Schmidt under the inner product ``<u, v> = sum_i w_i u_i v_i``.
 
     Classical Gram-Schmidt run twice per column (one re-orthogonalization
-    pass); a residual norm below ``rtol`` times the input norm raises with
+    pass); a residual norm below ``GS_RTOL`` times the input norm raises with
     the offending column index.
     """
     n, m = M.shape
@@ -286,10 +284,10 @@ def orthonormalize_columns(
             if j:
                 v = v - Q[:, :j] @ (Q[:, :j].T @ (w * v))
         norm = math.sqrt(max(float(v @ (w * v)), 0.0))
-        if norm <= rtol * norm0 or norm0 == 0.0:
+        if norm <= GS_RTOL * norm0 or norm0 == 0.0:
             raise ValueError(
                 f"rank deficiency at column {j}: residual norm {norm:.3e} "
-                f"below {rtol:.0e} of input norm {norm0:.3e}"
+                f"below {GS_RTOL:.0e} of input norm {norm0:.3e}"
             )
         Q[:, j] = v / norm
     return Q
@@ -348,24 +346,31 @@ def kde_density(
     if d_manifold < 1:
         raise ValueError("intrinsic dimension must be at least 1")
     n = cloud.n
-    dist = np.sqrt(squared_distances(cloud.points))
-    vals = np.asarray(profile(dist / h2), dtype=float)
+    # square root and scaling in place: two n x n arrays fewer per call
+    t = squared_distances(cloud.points)
+    np.sqrt(t, out=t)
+    t /= h2
+    vals = np.asarray(profile(t), dtype=float)
     return vals.sum(axis=0) / (n * h2**d_manifold)
 
 
 @dataclass(frozen=True)
 class HarmonicDetails:
-    """Intermediate quantities of the harmonic kernel construction."""
+    """Intermediate quantities of the harmonic kernel construction.
 
-    kernel: KernelMatrix  # factored by basis / sqrt(scale * density)
+    ``kernel`` is factored by ``basis / sqrt(density)`` with no further
+    rescale: ``basis`` is orthonormal under ``omega``, so the factor's
+    columns have squared norm ``n`` and are mutually orthogonal.
+    """
+
+    kernel: KernelMatrix  # factored by basis / sqrt(density)
     basis: np.ndarray  # surrogate eigenfunctions v_i, orthonormal under omega
     density: np.ndarray  # kernel density estimate at each point
     omega_weights: np.ndarray  # 1 / (n * density)
     # the smallest max(m_grid) normalized-Laplacian eigenvalues, ascending
     laplacian_eigenvalues: np.ndarray
-    scale: float  # max(1, lambda_max / n) divisor applied at the end
     ritz_residual: float  # worst ||M u_i - mu_i u_i|| of the top pairs / mu_1
-    subspace_iterations: int  # block subspace iterations until convergence
+    subspace_iterations: int  # block subspace iterations, over both widths
 
     @cached_property
     def aux_kernel(self) -> np.ndarray:
@@ -412,16 +417,19 @@ def harmonic_kernel_family(
     ``(I - D^-1 W) / h1^2``; its ``max(m_grid)`` smallest-eigenvalue
     eigenvectors, from the top eigenpairs of the similar symmetric matrix
     ``D^-1/2 W D^-1/2`` by block subspace iteration (``_top_eigenpairs``;
-    no ``n x n`` eigendecomposition); ball-count renormalization so the vectors
-    approximate unit-norm manifold eigenfunctions; kernel density estimate
-    at bandwidth ``h2``; Gram-Schmidt under the density-corrected volume
-    weights ``omega = 1 / (n * density)``; density-reweighted projection
-    kernel; and a final division by ``max(1, lambda_max / n)`` so the
-    eigenvalues land in ``[0, n]``.  The rank-``m`` kernel is factored by
-    ``V / sqrt(scale * density)`` over the first ``m`` columns ``V`` of the
-    basis, and ``lambda_max`` is the squared top singular value of that
-    ``n x m`` factor.  Gram-Schmidt is prefix-stable, so the basis is
-    computed once, at the largest rank.
+    no ``n x n`` eigendecomposition); kernel density estimate at bandwidth
+    ``h2``; Gram-Schmidt under the density-corrected volume weights
+    ``omega = 1 / (n * density)``; and the density-reweighted projection
+    kernel.  The rank-``m`` kernel is factored by ``V / sqrt(density)``
+    over the first ``m`` columns ``V`` of the basis.
+
+    No rescaling is needed on either side of Gram-Schmidt: it ignores a
+    positive rescale of its input columns, and its output ``V`` satisfies
+    ``V^T diag(omega) V = I``, so the factor ``B = V / sqrt(density)`` has
+    ``B^T B = n I`` and ``K = B B^T`` is ``n`` times an orthogonal
+    projection, with every eigenvalue in ``{0, n}`` up to rounding.
+    ``validate_kernel`` still checks that.  Gram-Schmidt is prefix-stable,
+    so the basis is computed once, at the largest rank.
     """
     if not m_grid:
         return {}
@@ -434,8 +442,7 @@ def harmonic_kernel_family(
         raise ValueError("bandwidths must be positive")
     top = ranks[-1]
 
-    D2 = squared_distances(cloud.points)
-    w = np.exp(-D2 / (4.0 * h1 * h1))
+    w = np.exp(-squared_distances(cloud.points) / (4.0 * h1 * h1))
     deg = w.sum(axis=1)
     if (deg <= 0).any():
         raise ValueError(f"degenerate degree at point {int(np.argmin(deg))}")
@@ -461,24 +468,6 @@ def harmonic_kernel_family(
         if U[k, i] < 0:
             U[:, i] = -U[:, i]
 
-    # point-wise renormalization toward unit manifold norm: the count of
-    # cloud points in the closed h1-ball around x_j estimates n * p(x_j)
-    # times the ball volume
-    counts = (D2 <= h1 * h1).sum(axis=1)
-    ball_volume = (
-        2.0
-        * math.pi ** (d_manifold / 2.0)
-        / math.gamma(d_manifold / 2.0)
-        * h1**d_manifold
-        / d_manifold
-    )
-    norms_sq = ball_volume * ((U * U) / counts[:, None]).sum(axis=0)
-    if (norms_sq <= 0).any():
-        raise ValueError(
-            f"eigenvector {int(np.argmin(norms_sq))} has nonpositive volume norm"
-        )
-    U = U / np.sqrt(norms_sq)
-
     density = kde_density(cloud, h2, profile, d_manifold)
     if (density <= 0).any():
         raise ValueError(
@@ -488,23 +477,18 @@ def harmonic_kernel_family(
     omega = 1.0 / (n * density)
     V = orthonormalize_columns(U, omega)
     inv_sqrt_density = (1.0 / np.sqrt(density))[:, None]
-    family = {}
-    for m in ranks:
-        B = V[:, :m] * inv_sqrt_density
-        # the top eigenvalue of B B^T, from the n x m factor
-        lam_max = float(np.linalg.svd(B, compute_uv=False)[0]) ** 2
-        scale = max(1.0, lam_max / n)
-        family[m] = HarmonicDetails(
-            kernel=KernelMatrix(factor=B / math.sqrt(scale)),
+    return {
+        m: HarmonicDetails(
+            kernel=KernelMatrix(factor=V[:, :m] * inv_sqrt_density),
             basis=V[:, :m],
             density=density,
             omega_weights=omega,
             laplacian_eigenvalues=eigvals,
-            scale=scale,
             ritz_residual=residual,
             subspace_iterations=iterations,
         )
-    return family
+        for m in ranks
+    }
 
 
 def _top_eigenpairs(
@@ -513,31 +497,38 @@ def _top_eigenpairs(
     """Top ``top`` eigenpairs of a symmetric ``n x n`` operator, descending.
 
     Block subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp,
-    SIAM Review 2011) on ``p = min(n, top + _SUBSPACE_OVERSAMPLE)`` columns
-    from a fixed start block: each iteration orthonormalizes the block
-    ``Y = M X`` to ``Q``, applies ``M`` once more and solves the ``p x p``
-    eigenproblem of ``Q^T M Q``.  It stops once the worst residual
-    ``||M u_i - mu_i u_i||`` of the top Ritz pairs is at most
-    ``_RITZ_RTOL * mu_1`` and returns the values, the ``n x top`` vectors,
-    that residual over ``mu_1`` and the iteration count; past
-    ``_SUBSPACE_MAX_ITERATIONS`` it raises ``ArithmeticError``.  At
-    ``p = n`` one iteration is a dense solve.
+    SIAM Review 2011) from a fixed start block: each iteration
+    orthonormalizes the block ``Y = M X`` to ``Q``, applies ``M`` once more
+    and solves the ``p x p`` eigenproblem of ``Q^T M Q``.  It stops once
+    the worst residual ``||M u_i - mu_i u_i||`` of the top Ritz pairs is at
+    most ``_RITZ_RTOL * mu_1`` and returns the values, the ``n x top``
+    vectors, that residual over ``mu_1`` and the iteration count.  The
+    block has ``p = min(n, top + _SUBSPACE_OVERSAMPLE)`` columns; if that
+    width does not converge in ``_SUBSPACE_MAX_ITERATIONS`` iterations (a
+    small graph bandwidth flattens the spectrum), the same loop runs once
+    more at ``p = n``, where ``Q`` spans the whole space and one iteration
+    is a dense solve.  The count covers both widths; if both fail it
+    raises ``ArithmeticError``.
     """
-    p = min(n, top + _SUBSPACE_OVERSAMPLE)
-    Y = apply(_SUBSPACE_START.generator().standard_normal((n, p)))
-    for iteration in range(1, _SUBSPACE_MAX_ITERATIONS + 1):
-        Q = np.linalg.qr(Y)[0]
-        Y = apply(Q)
-        H = Q.T @ Y
-        ritz, G = np.linalg.eigh((H + H.T) / 2.0)
-        mu, G = ritz[: -top - 1 : -1], G[:, : -top - 1 : -1]
-        U = Q @ G
-        residual = float(np.linalg.norm(Y @ G - U * mu, axis=0).max())
-        if residual <= _RITZ_RTOL * mu[0]:
-            return mu, U, residual / mu[0], iteration
+    widths = sorted({min(n, top + _SUBSPACE_OVERSAMPLE), n})
+    iterations = 0
+    for p in widths:
+        Y = apply(_SUBSPACE_START.generator().standard_normal((n, p)))
+        for _ in range(_SUBSPACE_MAX_ITERATIONS):
+            iterations += 1
+            Q = np.linalg.qr(Y)[0]
+            Y = apply(Q)
+            H = Q.T @ Y
+            ritz, G = np.linalg.eigh((H + H.T) / 2.0)
+            mu, G = ritz[: -top - 1 : -1], G[:, : -top - 1 : -1]
+            U = Q @ G
+            residual = float(np.linalg.norm(Y @ G - U * mu, axis=0).max())
+            if residual <= _RITZ_RTOL * mu[0]:
+                return mu, U, residual / mu[0], iterations
     raise ArithmeticError(
         f"subspace iteration for the top {top} eigenpairs did not converge in "
-        f"{_SUBSPACE_MAX_ITERATIONS} iterations: worst Ritz residual "
+        f"{_SUBSPACE_MAX_ITERATIONS} iterations at block widths "
+        f"{', '.join(map(str, widths))}: worst Ritz residual "
         f"{residual / mu[0]:.3e} of mu_1, above {_RITZ_RTOL:.0e}"
     )
 

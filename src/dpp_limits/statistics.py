@@ -41,7 +41,6 @@ class TestFunction:
     arity: int
     fn: Callable[..., float]
     sup_bound: float
-    support: str | None = None
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -319,19 +318,19 @@ def bound_report_csv(
     n: int,
     orders: Sequence[int],
     rng: SeededRng | np.random.Generator,
-    noise_scale: float = 0.3,
 ) -> str:
     """CSV report of both bound checkers over random matrix pairs.
 
-    One row per (trial, order, bound) with lhs/rhs/ratio columns; the
-    Frobenius rows carry the signed aggregate as lhs and the absolute sum
-    in the extra column.
+    Each pair is a standard normal ``A`` and ``B = A + 0.3 Z`` with ``Z``
+    standard normal.  One row per (trial, order, bound) with lhs/rhs/ratio
+    columns; the Frobenius rows carry the signed aggregate as lhs and the
+    absolute sum in the extra column.
     """
     gen = as_generator(rng)
     lines = ["trial,r,bound,lhs,rhs,ratio,lhs_abs"]
     for t in range(trials):
         A = gen.standard_normal((n, n))
-        B = A + noise_scale * gen.standard_normal((n, n))
+        B = A + 0.3 * gen.standard_normal((n, n))
         for r in orders:
             lhs, rhs = det_bound_max(A, B, r)
             ratio = lhs / rhs if rhs else 0.0

@@ -274,7 +274,7 @@ _PINNED_CONFIGS = {
 }
 _PINNED_MD5 = {
     "coreset": "9d9ffba025e1eab6150de8600aff914b",
-    "sphere": "e59da9a11562cfa7d264d10713aad777",
+    "sphere": "2bdc5a4764536dcd8da55e9f5b042428",
     "usvt": "771f7929ce3df68803b609202a88f705",
     "checks": "dc201798415577428c8277ee0d0b2547",
 }

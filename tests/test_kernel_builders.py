@@ -275,12 +275,17 @@ def test_harmonic_rejects_bad_bandwidths():
         harmonic_kernel(cloud, 3, 0.5, 1e-6, annulus, 2)
 
 
-def test_harmonic_basis_agrees_with_dense_eigh():
+@pytest.mark.parametrize(
+    "n, h1, top", [(600, None, 64), (300, 0.2, 16)], ids=["default-h1", "small-h1"]
+)
+def test_harmonic_basis_agrees_with_dense_eigh(n, h1, top):
     # dense oracle: eigh of S = (I - D^-1/2 W D^-1/2) / h1^2; Gram-Schmidt
     # keeps prefix spans, so basis[:, :k] spans D^-1/2 times S's first k
-    # eigenvectors wherever their gap makes those well determined
-    top = 64
-    cloud, h1, h2, prof = _sphere_setup(n=600)
+    # eigenvectors wherever their gap makes those well determined.  The
+    # default bandwidth converges at block width top + 32; h1 = 0.2 flattens
+    # the spectrum past the iteration cap there and needs the full width
+    cloud, default_h1, h2, prof = _sphere_setup(n=n)
+    h1 = default_h1 if h1 is None else h1
     det = harmonic_kernel_details(cloud, top, h1, h2, prof, 2)
     assert det.ritz_residual <= 1e-14
     w = np.exp(-squared_distances(cloud.points) / (4.0 * h1 * h1))
@@ -322,10 +327,22 @@ def test_harmonic_partial_eigensolver_structure_determinism_and_cap(monkeypatch)
     for m in (4, 16):
         assert first[m].kernel.factor.tobytes() == second[m].kernel.factor.tobytes()
 
+    # past the cap at width 16 + 32 the loop reruns at the full width n,
+    # where one iteration is a dense solve of the same eigenpairs
     cloud, h1, h2, prof = _sphere_setup(n=300)
-    assert harmonic_kernel_details(cloud, 16, h1, h2, prof, 2).subspace_iterations > 1
+    unpatched = harmonic_kernel_details(cloud, 16, h1, h2, prof, 2)
+    assert unpatched.subspace_iterations > 1
     monkeypatch.setattr(kernel_builders, "_SUBSPACE_MAX_ITERATIONS", 1)
-    with pytest.raises(ArithmeticError, match="did not converge in 1 iterations: worst Ritz residual"):
+    capped = harmonic_kernel_details(cloud, 16, h1, h2, prof, 2)
+    assert capped.subspace_iterations == 2
+    assert capped.ritz_residual <= 1e-14
+    assert np.abs(capped.kernel.entries - unpatched.kernel.entries).max() <= 1e-10
+    # both widths failing raises, naming the widths and the residual
+    monkeypatch.setattr(kernel_builders, "_RITZ_RTOL", 0.0)
+    with pytest.raises(
+        ArithmeticError,
+        match="did not converge in 1 iterations at block widths 48, 300: worst Ritz residual",
+    ):
         harmonic_kernel(cloud, 16, h1, h2, prof, 2)
 
 
@@ -390,6 +407,18 @@ def test_ope_factor_prefixes_are_lower_rank_factors():
     full = ope_kernel(cloud, 15).factor
     for m in (1, 4, 10):
         assert np.abs(ope_kernel(cloud, m).factor - full[:, :m]).max() <= 1e-12
+
+
+def test_projection_factors_are_orthogonal_with_norm_n():
+    # B^T B = n I is what puts every eigenvalue of K = B B^T at 0 or n,
+    # with no rescale: the harmonic basis is orthonormal under omega =
+    # 1 / (n density) and its factor is basis / sqrt(density)
+    cloud, h1, h2, prof = _sphere_setup(n=300)
+    fam = harmonic_kernel_family(cloud, (4, 16), h1, h2, prof, 2)
+    factors = [fam[m].kernel.factor for m in (4, 16)] + [ope_kernel(cube(300, 2, seed=55), 16).factor]
+    for B in factors:
+        n, m = B.shape
+        assert np.abs(B.T @ B / n - np.eye(m)).max() <= 1e-12
 
 
 def test_harmonic_aux_kernel_is_lazy():
