@@ -200,14 +200,12 @@ def _conditional_chain(projector: np.ndarray, rank: int, gen: np.random.Generato
     return chosen
 
 
-def _chain_small(
-    P: np.ndarray, diag: np.ndarray, rank: int, gen: np.random.Generator
-) -> list[int]:
+def _chain_small(P: np.ndarray, rank: int, gen: np.random.Generator) -> list[int]:
     # same sequential conditioning as _conditional_chain, on plain floats;
     # beats array dispatch overhead for tiny matrices
-    n = len(diag)
-    d = list(diag)
     rows = P.tolist()
+    n = len(rows)
+    d = [row[i] for i, row in enumerate(rows)]
     C: list[list[float]] = []
     chosen: list[int] = []
     for t in range(rank):
@@ -265,7 +263,7 @@ def _draw_once(dpp: ValidatedDpp, gen: np.random.Generator) -> IndexSample:
         # cached projector bit for bit
         V = dpp._columns(selected)
         P = V @ V.T
-        return IndexSample(_chain_small(P, P.diagonal(), rank, gen))
+        return IndexSample(_chain_small(P, rank, gen))
     if dpp._is_projection:
         return IndexSample(_conditional_chain(dpp.projection_matrix(), rank, gen).tolist())
     V = dpp._columns(selected)

@@ -7,7 +7,9 @@ process exists exactly when ``K`` is symmetric with eigenvalues in ``[0, n]``.
 The two projection families (``ope_kernel``, ``harmonic_kernel``) are built
 in factored form ``K = B B^T`` with an ``n x m`` factor; the others are dense.
 
-* ``gram_kernel`` — restriction of an explicit kernel function to the cloud;
+* ``gram_kernel`` — restriction of an explicit kernel function to the cloud,
+  given as a :class:`ContinuousKernel` of two vectorized callables,
+  ``pairwise(X, Y)`` and ``diagonal(X)``;
 * ``ope_kernel`` — orthonormal-polynomial projection kernel (monomials in
   graded lexical order, Gram-Schmidt under the ``1/n``-weighted inner
   product);
@@ -117,20 +119,15 @@ def _symmetrized(K: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContinuousKernel:
-    """Symmetric kernel function on R^d with a declared sup bound.
+    """Symmetric kernel function on R^d, given by two vectorized callables.
 
-    ``fn`` evaluates one pair of points; ``pairwise``, when provided, must
-    return the full evaluation matrix for two stacked point arrays and is
-    used to vectorize Gram construction.
+    ``pairwise(X, Y)`` returns the matrix ``k(x_i, y_j)`` for two stacked
+    point arrays; ``diagonal(X)`` returns the vector ``k(x_i, x_i)``, so a
+    1-point statistic reads no ``n x n`` matrix.
     """
 
-    fn: Callable[[np.ndarray, np.ndarray], float]
-    max_abs: float
-    diagonal_value: float | None = None
-    pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def eval(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    diagonal: Callable[[np.ndarray], np.ndarray]
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -144,10 +141,8 @@ def squared_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
 def constant_kernel(value: float = 1.0) -> ContinuousKernel:
     """Kernel identically equal to ``value`` (rank-one when used as a Gram)."""
     return ContinuousKernel(
-        fn=lambda x, y: value,
-        max_abs=abs(value),
-        diagonal_value=value,
         pairwise=lambda X, Y: np.full((X.shape[0], Y.shape[0]), float(value)),
+        diagonal=lambda X: np.full(X.shape[0], float(value)),
     )
 
 
@@ -156,30 +151,16 @@ def gaussian_kernel(bandwidth: float = 1.0, amplitude: float = 1.0) -> Continuou
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     b2 = bandwidth * bandwidth
-
-    def _one(x: np.ndarray, y: np.ndarray) -> float:
-        d = x - y
-        return amplitude * math.exp(-float(d @ d) / b2)
-
-    def _pair(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return amplitude * np.exp(-squared_distances(X, Y) / b2)
-
     return ContinuousKernel(
-        fn=_one, max_abs=abs(amplitude), diagonal_value=amplitude, pairwise=_pair
+        pairwise=lambda X, Y: amplitude * np.exp(-squared_distances(X, Y) / b2),
+        diagonal=lambda X: np.full(X.shape[0], float(amplitude)),
     )
 
 
 def gram_kernel(kernel: ContinuousKernel, cloud: PointCloud) -> KernelMatrix:
     """Restrict a kernel function to the cloud: ``G[i, j] = k(x_i, x_j)``."""
     pts = cloud.points
-    n = cloud.n
-    if kernel.pairwise is not None:
-        G = np.asarray(kernel.pairwise(pts, pts), dtype=float)
-    else:
-        G = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                G[i, j] = G[j, i] = kernel.fn(pts[i], pts[j])
+    G = np.asarray(kernel.pairwise(pts, pts), dtype=float)
     if G.size and not np.isfinite(G).all():
         i, j = np.argwhere(~np.isfinite(G))[0]
         raise ValueError(f"kernel evaluation not finite at point pair ({i}, {j})")
@@ -442,12 +423,14 @@ def harmonic_kernel_family(
         raise ValueError("bandwidths must be positive")
     top = ranks[-1]
 
-    w = np.exp(-squared_distances(cloud.points) / (4.0 * h1 * h1))
-    deg = w.sum(axis=1)
+    # weights, then their degree double-normalization, in one n x n array
+    W = squared_distances(cloud.points)
+    W /= -4.0 * h1 * h1
+    np.exp(W, out=W)
+    deg = W.sum(axis=1)
     if (deg <= 0).any():
         raise ValueError(f"degenerate degree at point {int(np.argmin(deg))}")
-
-    W = w / np.outer(deg, deg)
+    np.divide(W, np.outer(deg, deg), out=W)
     row = W.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(row)
     # M = D^-1/2 W D^-1/2 is similar to D^-1 W, so (I - M) / h1^2 has the
@@ -610,20 +593,20 @@ def usvt_kernel(
     gamma = rho * (alpha * n) ** 0.75
     eigvals, eigvecs = np.linalg.eigh(adjacency.entries)
     kept = eigvals >= gamma
-    if kept.any():
-        V = eigvecs[:, kept]
-        tilde = (V * (eigvals[kept] / alpha)) @ V.T
-        tilde = (tilde + tilde.T) / 2.0
-        lam_top = float(eigvals[kept].max() / alpha)
-    else:
-        tilde = np.zeros((n, n))
-        lam_top = 0.0
-    correction = max(c - float(np.trace(tilde)) / n, 0.0)
-    bar = tilde + correction * np.eye(n)
-    lam_max = lam_top + correction
+    lam = eigvals[kept] / alpha
+    V = eigvecs[:, kept]
+    del eigvecs
+    # one n x n array from here on; with nothing kept it is the zero matrix
+    K = (V * lam) @ V.T
+    K += K.T
+    K /= 2.0
+    correction = max(c - float(np.trace(K)) / n, 0.0)
+    lam_max = float(lam.max(initial=0.0)) + correction
+    K.flat[:: n + 1] += correction
     soft_cap = 1.0 / (1.0 + (alpha * n) ** -0.25)
     c_prime = min(n / lam_max, soft_cap) if lam_max > 0 else soft_cap
-    return KernelMatrix(c_prime * bar)
+    K *= c_prime
+    return KernelMatrix(K)
 
 
 def usvt_retained_rank(adjacency: AdjacencyMatrix, alpha: float, rho: float) -> int:

@@ -4,7 +4,9 @@ The r-point linear statistic of a test function ``phi`` over a sample is the
 sum of ``phi`` over all ordered r-tuples of distinct sampled points.  Its
 expectation under a kernel ``K`` with uniform weight ``1/n`` is the full
 r-tuple sum of ``phi * det(K_tuple) / n^r``, where tuples with repeated
-indices contribute zero.  The two bound checkers measure, on explicit
+indices contribute zero.  One tuple-sum core serves a ``KernelMatrix`` and
+the Gram restriction of a ``ContinuousKernel`` alike; at r = 1 it reads
+only the kernel's diagonal.  The two bound checkers measure, on explicit
 matrices, how far apart subset determinants of two matrices can drift given
 entrywise or Frobenius/trace-level closeness.
 """
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dpp_engine import IndexSample
-from .kernel_builders import ContinuousKernel, KernelMatrix
+from .kernel_builders import ContinuousKernel, KernelMatrix, gram_kernel
 from .point_cloud import PointCloud
 from .rng import SeededRng, as_generator
 
@@ -88,25 +90,24 @@ def _subset_det(K: np.ndarray, subset: tuple[int, ...]) -> float:
 def _tuple_sum(
     cloud: PointCloud,
     phi: TestFunction,
-    diagonal_sum: Callable[[np.ndarray], float],
-    subset_det: Callable[[tuple[int, ...]], float],
+    diagonal: np.ndarray | None = None,
+    entries: np.ndarray | None = None,
 ) -> float:
     """Full r-tuple sum ``sum phi * det(K_tuple) / n^r``.
 
     Repeated-index tuples vanish, so the sum runs over index subsets times
-    orderings.  At r = 1 it is ``diagonal_sum(phi_vals) / n``, where
-    ``diagonal_sum`` weighs the values of ``phi`` at the points by the
-    diagonal of ``K``; above, ``subset_det`` gives ``det(K_subset)``.
+    orderings.  At r = 1 it is ``phi_vals @ diagonal / n`` and reads only
+    the kernel's ``diagonal``; above, it reads the ``n x n`` ``entries``.
+    Callers check the tuple budget before building either.
     """
     n = cloud.n
     r = phi.arity
-    _check_tuple_budget(n, r)
     pts = cloud.points
     if r == 1:
-        return diagonal_sum(np.array([phi(pts[i]) for i in range(n)])) / n
+        return float(np.array([phi(pts[i]) for i in range(n)]) @ diagonal) / n
     total = 0.0
     for subset in itertools.combinations(range(n), r):
-        det = subset_det(subset)
+        det = _subset_det(entries, subset)
         if det == 0.0:
             continue
         total += det * sum(
@@ -125,12 +126,10 @@ def expected_linear_statistic(
     """
     if kernel.n != cloud.n:
         raise ValueError("kernel size does not match the cloud")
-    return _tuple_sum(
-        cloud,
-        phi,
-        lambda phi_vals: float(phi_vals @ kernel.diagonal()),
-        lambda subset: _subset_det(kernel.entries, subset),
-    )
+    _check_tuple_budget(cloud.n, phi.arity)
+    if phi.arity == 1:
+        return _tuple_sum(cloud, phi, diagonal=kernel.diagonal())
+    return _tuple_sum(cloud, phi, entries=kernel.entries)
 
 
 def empirical_moments(
@@ -172,22 +171,14 @@ def expected_statistic_continuous(
 ) -> float:
     """Expectation of the statistic under the Gram restriction of ``kernel``.
 
-    Evaluates kernel entries on demand, so 1-point statistics stay cheap on
-    very large clouds (only the diagonal is needed).
+    At r = 1 only ``kernel.diagonal`` is evaluated, so 1-point statistics
+    stay cheap on very large clouds; above, the sum runs on the Gram matrix
+    of :func:`gram_kernel`, built once the tuple budget admits it.
     """
-    pts = cloud.points
-
-    def diagonal_sum(phi_vals: np.ndarray) -> float:
-        if kernel.diagonal_value is not None:
-            return float(phi_vals.sum()) * kernel.diagonal_value
-        diag = np.array([kernel.fn(pts[i], pts[i]) for i in range(cloud.n)])
-        return float(phi_vals @ diag)
-
-    def subset_det(subset: tuple[int, ...]) -> float:
-        sub = np.array([[kernel.fn(pts[i], pts[j]) for j in subset] for i in subset])
-        return float(np.linalg.det(sub))
-
-    return _tuple_sum(cloud, phi, diagonal_sum, subset_det)
+    _check_tuple_budget(cloud.n, phi.arity)
+    if phi.arity == 1:
+        return _tuple_sum(cloud, phi, diagonal=kernel.diagonal(cloud.points))
+    return _tuple_sum(cloud, phi, entries=gram_kernel(kernel, cloud).entries)
 
 
 def measure_error(

@@ -63,7 +63,10 @@ def test_gram_exactly_symmetric():
 
 
 def test_gram_rejects_non_finite_with_indices():
-    bad = ContinuousKernel(fn=lambda x, y: math.inf if (x != y).any() else 1.0, max_abs=1.0)
+    bad = ContinuousKernel(
+        pairwise=lambda X, Y: np.where((X[:, None] != Y[None]).any(axis=2), math.inf, 1.0),
+        diagonal=lambda X: np.ones(X.shape[0]),
+    )
     with pytest.raises(ValueError, match=r"point pair \(0, 1\)"):
         gram_kernel(bad, cube(3, 1))
 

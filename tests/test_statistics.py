@@ -18,6 +18,7 @@ from dpp_limits import (
     empirical_moments,
     enumerate_pmf,
     expected_linear_statistic,
+    expected_statistic_continuous,
     gaussian_kernel,
     gram_kernel,
     kernel_error,
@@ -237,6 +238,25 @@ def test_measure_error_constant_diagonal_r1():
     phi = TestFunction(1, lambda x: 1.0, sup_bound=1.0)
     a, b = cube(30, seed=13), cube(500, seed=14)
     assert measure_error(gaussian_kernel(amplitude=0.7), a, phi, b) == pytest.approx(0.0)
+
+
+def test_expected_statistic_continuous_pairs_match_explicit_sum():
+    # r = 2 runs on the Gram matrix; compare with sum_{i != j} phi *
+    # (k_ii k_jj - k_ij^2) / n^2 evaluated pair by pair
+    amplitude, bandwidth = 0.7, 0.8
+    cloud = cube(10, seed=15)
+    phi = TestFunction(2, lambda x, y: float(x @ y + x[0]), sup_bound=3.0)
+    pts = cloud.points
+
+    def k(x, y):
+        return amplitude * math.exp(-float((x - y) @ (x - y)) / bandwidth**2)
+
+    explicit = sum(
+        phi(pts[i], pts[j]) * (k(pts[i], pts[i]) * k(pts[j], pts[j]) - k(pts[i], pts[j]) ** 2)
+        for i, j in itertools.permutations(range(cloud.n), 2)
+    ) / cloud.n**2
+    got = expected_statistic_continuous(gaussian_kernel(bandwidth, amplitude), cloud, phi)
+    assert got == pytest.approx(explicit, rel=1e-12)
 
 
 def test_measure_error_decreases_with_n():
