@@ -374,22 +374,8 @@ def _phase_one(
 _EMPTY = IndexSample(())
 
 
-def _trusted_samples(chosen: np.ndarray) -> list[IndexSample]:
-    # IndexSample without its per-sample __post_init__, once strict
-    # increase is checked for the whole batch
-    if not (np.diff(chosen, axis=1) > 0).all():
-        raise ArithmeticError("lockstep chain chose an index twice")
-    new, put = object.__new__, object.__setattr__
-    out = []
-    for idx in map(tuple, chosen.tolist()):
-        s = new(IndexSample)
-        put(s, "indices", idx)
-        put(s, "multiplicities", None)
-        out.append(s)
-    return out
-
-
-def _draw_block(dpp: ValidatedDpp, gen: np.random.Generator, count: int) -> list[IndexSample]:
+def _draw_block(dpp: ValidatedDpp, gen: np.random.Generator, count: int) -> list[tuple[int, ...]]:
+    """The index tuples of ``count`` consecutive draws, in draw order."""
     n, q = dpp.n, dpp._q
     frac = np.flatnonzero((q > 0.0) & (q < 1.0))
     buf, starts, sel = _phase_one(q, frac, gen, count)
@@ -399,18 +385,23 @@ def _draw_block(dpp: ValidatedDpp, gen: np.random.Generator, count: int) -> list
     else:
         keys = np.unique(np.packbits(sel, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
     order = np.argsort(keys, kind="stable")
-    out: list[IndexSample] = [_EMPTY] * count
+    # the index tuples of draws order[0], order[1], ...: group after group
+    ordered: list[tuple[int, ...]] = []
     for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
         selected = q == 1.0
         selected[frac[sel[rows[0]]]] = True
         rank = int(selected.sum())
         if not rank:
+            ordered += [()] * rows.size
             continue
         u = buf[starts[rows, None] + n + np.arange(rank)]
-        samples = _trusted_samples(_lockstep_chain(dpp._columns(selected), u))
-        for i, s in zip(rows.tolist(), samples):
-            out[i] = s
-    return out
+        chosen = _lockstep_chain(dpp._columns(selected), u)
+        if not (np.diff(chosen, axis=1) > 0).all():
+            raise ArithmeticError("lockstep chain chose an index twice")
+        ordered += map(tuple, chosen.tolist())
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.arange(count)
+    return list(map(ordered.__getitem__, inverse.tolist()))
 
 
 def sample_dpp_many(
@@ -429,7 +420,9 @@ def sample_dpp_many(
     and a residual at the edge of the ``NEGATIVE_PROB_TOL`` check can trip
     it on one path only.  A block whose chain trips a numerical check is
     drawn again one sample at a time, so the error raised is the one
-    :func:`sample_dpp` raises.
+    :func:`sample_dpp` raises.  Equal draws within one call are one shared
+    :class:`IndexSample`, which is immutable: the call makes one object per
+    distinct index set.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -439,15 +432,24 @@ def sample_dpp_many(
     # col and the search mask
     per_draw = 8 * (2 * (n + r) + r * r + 4 * n)
     block = max(1, _BLOCK_BYTES // max(per_draw, 1))
+    # one sample per distinct index tuple, made without its per-sample
+    # __post_init__: _draw_block checks its chains' rows strictly increasing
+    interned = {(): _EMPTY}
+    new, put = object.__new__, object.__setattr__
     out: list[IndexSample] = []
     for first in range(0, count, block):
         size = min(block, count - first)
         state = gen.bit_generator.state
         try:
-            out += _draw_block(dpp, gen, size)
+            drawn = _draw_block(dpp, gen, size)
         except ArithmeticError:
             gen.bit_generator.state = state
-            out += [_draw_once(dpp, gen) for _ in range(size)]
+            drawn = [_draw_once(dpp, gen).indices for _ in range(size)]
+        for idx in set(drawn).difference(interned):
+            s = interned[idx] = new(IndexSample)
+            put(s, "indices", idx)
+            put(s, "multiplicities", None)
+        out += map(interned.__getitem__, drawn)
     return out
 
 

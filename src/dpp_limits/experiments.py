@@ -380,7 +380,7 @@ def run_usvt(cfg: UsvtConfig) -> ResultTable:
             for rep in range(cfg.replicates):
                 cloud = sample_uniform_cube(n, cfg.d, base.substream(1, ni, rep))
                 gram = gram_kernel(latent, cloud)
-                graph = latent_graph(cloud, latent, cfg.alpha, base.substream(2, ni, rep))
+                graph = latent_graph(gram, cfg.alpha, base.substream(2, ni, rep))
                 K = usvt_kernel(graph, cfg.alpha, cfg.c, cfg.rho)
                 frob.append(float(np.linalg.norm(K.entries - gram.entries)) / n)
                 tr_err.append(abs(float(np.trace(K.entries)) / n - cfg.c))

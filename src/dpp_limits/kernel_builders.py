@@ -546,30 +546,26 @@ class AdjacencyMatrix:
         return self.entries.shape[0]
 
 
-def latent_graph(
-    cloud: PointCloud,
-    kernel: ContinuousKernel,
-    alpha: float,
-    rng: SeededRng,
-) -> AdjacencyMatrix:
-    """Draw a latent position random graph over the cloud.
+def latent_graph(gram: KernelMatrix, alpha: float, rng: SeededRng) -> AdjacencyMatrix:
+    """Draw a latent position random graph from a kernel's Gram matrix.
 
-    Edges are independent with ``P(edge ij) = alpha * k(x_i, x_j)``; all
-    pair probabilities must lie in [0, 1].
+    Edges are independent with ``P(edge ij) = alpha * k(x_i, x_j)``, where
+    ``gram`` holds ``k`` at the latent positions (see :func:`gram_kernel`);
+    all pair probabilities must lie in [0, 1].
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    n = cloud.n
-    P = alpha * gram_kernel(kernel, cloud).entries
-    iu = np.triu_indices(n, k=1)
-    probs = P[iu]
+    n = gram.n
+    # the strict upper triangle, in row-major order
+    upper = ~np.tri(n, dtype=bool)
+    probs = alpha * gram.entries[upper]
     if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
         bad = float(probs.min()) if probs.min() < 0 else float(probs.max())
         raise ValueError(f"edge probability {bad} outside [0, 1]")
     gen = as_generator(rng)
     edges = gen.random(probs.shape[0]) < probs
     A = np.zeros((n, n))
-    A[iu] = edges
+    A[upper] = edges
     return AdjacencyMatrix(A + A.T)
 
 

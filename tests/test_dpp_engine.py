@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -378,6 +379,25 @@ def test_sample_many_rejects_negative_count():
     dpp = validate_kernel(_batch_kernel("dense-mixed", 8, seed=1))
     with pytest.raises(ValueError, match="count"):
         sample_dpp_many(dpp, SeededRng(0), -1)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 19], ids=["one-block", "many-blocks"])
+def test_sample_many_shares_equal_draws(monkeypatch, block_bytes):
+    # the checks runner's regime: few distinct index sets among many draws;
+    # sharing holds across the blocks of one call
+    if block_bytes is not None:
+        monkeypatch.setattr(dpp_engine, "_BLOCK_BYTES", block_bytes)
+    n = 8
+    lam = np.zeros(n)
+    lam[:3] = n * np.array([0.9, 0.6, 0.3])
+    dpp = validate_kernel(random_valid_kernel(n, SeededRng(4), eigenvalues=lam))
+    many = sample_dpp_many(dpp, SeededRng(5), 5000)
+    assert len({id(s) for s in many}) == len({s.indices for s in many})
+    first = {}
+    for s in many:
+        assert first.setdefault(s.indices, s) is s
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        many[0].indices = (0,)
 
 
 # one case per single-draw route: the pure-Python chain (n <= 24), the

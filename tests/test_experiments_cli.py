@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from dpp_limits import experiments
+from dpp_limits import ContinuousKernel, experiments
 from dpp_limits.cli import main
 from dpp_limits.experiments import (
     CSV_HEADER,
@@ -128,6 +128,26 @@ def test_run_usvt_smoke_and_determinism():
     assert {r.metric for r in t1.rows} == {"frobenius_error", "trace_error"}
     assert len(t1.rows) == 4
     assert t1.to_csv() == run_usvt(cfg).to_csv()
+
+
+def test_run_usvt_builds_one_gram_per_replicate(monkeypatch):
+    # the Gram matrix of the latent kernel serves both the graph draw and
+    # the recovery error
+    calls = []
+    real = experiments.gaussian_kernel
+
+    def counting_kernel(**kwargs):
+        kernel = real(**kwargs)
+
+        def pairwise(X, Y):
+            calls.append(X.shape[0])
+            return kernel.pairwise(X, Y)
+
+        return ContinuousKernel(pairwise=pairwise, diagonal=kernel.diagonal)
+
+    monkeypatch.setattr(experiments, "gaussian_kernel", counting_kernel)
+    run_usvt(UsvtConfig(n_grid=(30, 50), replicates=2, rho=0.15, seed=8))
+    assert calls == [30, 30, 50, 50]
 
 
 def test_run_checks_all_pass():

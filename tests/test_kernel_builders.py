@@ -436,19 +436,19 @@ def test_harmonic_aux_kernel_is_lazy():
 
 
 def test_latent_graph_alpha_zero_empty():
-    A = latent_graph(cube(20, 2, seed=1), constant_kernel(1.0), 0.0, SeededRng(2))
+    A = latent_graph(gram_kernel(constant_kernel(1.0), cube(20, 2, seed=1)), 0.0, SeededRng(2))
     assert A.entries.sum() == 0
 
 
 def test_latent_graph_complete():
     n = 15
-    A = latent_graph(cube(n, 2, seed=1), constant_kernel(1.0), 1.0, SeededRng(2))
+    A = latent_graph(gram_kernel(constant_kernel(1.0), cube(n, 2, seed=1)), 1.0, SeededRng(2))
     assert np.array_equal(A.entries, np.ones((n, n)) - np.eye(n))
 
 
 def test_latent_graph_rejects_invalid_probability():
     with pytest.raises(ValueError, match="probability"):
-        latent_graph(cube(5, 2), constant_kernel(2.0), 1.0, SeededRng(0))
+        latent_graph(gram_kernel(constant_kernel(2.0), cube(5, 2)), 1.0, SeededRng(0))
 
 
 def test_latent_graph_bucket_frequency():
@@ -457,7 +457,7 @@ def test_latent_graph_bucket_frequency():
     n, alpha = 2000, 0.5
     cloud = cube(n, 2, seed=77)
     kern = gaussian_kernel(bandwidth=1.0)
-    A = latent_graph(cloud, kern, alpha, SeededRng(88))
+    A = latent_graph(gram_kernel(kern, cloud), alpha, SeededRng(88))
     d2 = squared_distances(cloud.points)
     iu = np.triu_indices(n, k=1)
     dvals, avals = d2[iu], A.entries[iu]
@@ -497,7 +497,7 @@ def test_usvt_zero_c_zero_kernel():
 
 def _random_graph(n, seed):
     cloud = cube(n, 2, seed=seed)
-    return latent_graph(cloud, gaussian_kernel(amplitude=0.6), 1.0, SeededRng(seed, 1))
+    return latent_graph(gram_kernel(gaussian_kernel(amplitude=0.6), cloud), 1.0, SeededRng(seed, 1))
 
 
 def test_usvt_eigenvalues_admissible_and_trace_restored():
