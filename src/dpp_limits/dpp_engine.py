@@ -12,6 +12,7 @@ so the sampler can be tested against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -374,8 +375,28 @@ def _phase_one(
 _EMPTY = IndexSample(())
 
 
-def _draw_block(dpp: ValidatedDpp, gen: np.random.Generator, count: int) -> list[tuple[int, ...]]:
-    """The index tuples of ``count`` consecutive draws, in draw order."""
+class _Interned(dict):
+    """Index tuple -> its one sample, made at the first lookup.
+
+    The sample is made without its per-sample ``__post_init__``, so a
+    caller looks up only tuples that are checked strictly increasing.
+    """
+
+    def __missing__(self, idx: tuple[int, ...]) -> IndexSample:
+        s = self[idx] = object.__new__(IndexSample)
+        object.__setattr__(s, "indices", idx)
+        object.__setattr__(s, "multiplicities", None)
+        return s
+
+
+def _draw_block(
+    dpp: ValidatedDpp, gen: np.random.Generator, count: int
+) -> tuple[list[Iterable[tuple[int, ...]]], list[int]]:
+    """The index tuples of ``count`` consecutive draws.
+
+    Returns them group by group, and the position of each draw's tuple in
+    that order; each chain's rows are checked strictly increasing.
+    """
     n, q = dpp.n, dpp._q
     frac = np.flatnonzero((q > 0.0) & (q < 1.0))
     buf, starts, sel = _phase_one(q, frac, gen, count)
@@ -385,23 +406,24 @@ def _draw_block(dpp: ValidatedDpp, gen: np.random.Generator, count: int) -> list
     else:
         keys = np.unique(np.packbits(sel, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
     order = np.argsort(keys, kind="stable")
-    # the index tuples of draws order[0], order[1], ...: group after group
-    ordered: list[tuple[int, ...]] = []
+    groups: list[Iterable[tuple[int, ...]]] = []
     for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
         selected = q == 1.0
         selected[frac[sel[rows[0]]]] = True
         rank = int(selected.sum())
         if not rank:
-            ordered += [()] * rows.size
+            groups.append([()] * rows.size)
             continue
         u = buf[starts[rows, None] + n + np.arange(rank)]
         chosen = _lockstep_chain(dpp._columns(selected), u)
         if not (np.diff(chosen, axis=1) > 0).all():
             raise ArithmeticError("lockstep chain chose an index twice")
-        ordered += map(tuple, chosen.tolist())
-    inverse = np.empty(count, dtype=np.intp)
-    inverse[order] = np.arange(count)
-    return list(map(ordered.__getitem__, inverse.tolist()))
+        # zip reuses its tuple once the caller's lookup drops it, so a
+        # repeated draw makes no new tuple
+        groups.append(zip(*chosen.T.tolist()))
+    position = np.empty(count, dtype=np.intp)
+    position[order] = np.arange(count)
+    return groups, position.tolist()
 
 
 def sample_dpp_many(
@@ -432,24 +454,21 @@ def sample_dpp_many(
     # col and the search mask
     per_draw = 8 * (2 * (n + r) + r * r + 4 * n)
     block = max(1, _BLOCK_BYTES // max(per_draw, 1))
-    # one sample per distinct index tuple, made without its per-sample
-    # __post_init__: _draw_block checks its chains' rows strictly increasing
-    interned = {(): _EMPTY}
-    new, put = object.__new__, object.__setattr__
+    interned = _Interned({(): _EMPTY})
     out: list[IndexSample] = []
     for first in range(0, count, block):
         size = min(block, count - first)
         state = gen.bit_generator.state
         try:
-            drawn = _draw_block(dpp, gen, size)
+            groups, position = _draw_block(dpp, gen, size)
         except ArithmeticError:
             gen.bit_generator.state = state
-            drawn = [_draw_once(dpp, gen).indices for _ in range(size)]
-        for idx in set(drawn).difference(interned):
-            s = interned[idx] = new(IndexSample)
-            put(s, "indices", idx)
-            put(s, "multiplicities", None)
-        out += map(interned.__getitem__, drawn)
+            groups = [[_draw_once(dpp, gen).indices for _ in range(size)]]
+            position = range(size)
+        ordered: list[IndexSample] = []
+        for tuples in groups:
+            ordered += map(interned.__getitem__, tuples)
+        out += map(ordered.__getitem__, position)
     return out
 
 
