@@ -35,27 +35,15 @@ _SMALL_N = 24
 
 @dataclass(frozen=True)
 class IndexSample:
-    """A drawn subset of indices, optionally with multiplicities.
-
-    Multiplicities are present only for with-replacement draws; exact DPP
-    samples are plain index sets.
-    """
+    """One exact DPP sample: a set of distinct indices, strictly increasing."""
 
     indices: tuple[int, ...]
-    multiplicities: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         idx = tuple(int(i) for i in self.indices)
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("indices must be strictly increasing")
         object.__setattr__(self, "indices", idx)
-        if self.multiplicities is not None:
-            mult = tuple(int(m) for m in self.multiplicities)
-            if len(mult) != len(idx):
-                raise ValueError("multiplicities must match indices")
-            if any(m < 1 for m in mult):
-                raise ValueError("multiplicities must be positive")
-            object.__setattr__(self, "multiplicities", mult)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -385,7 +373,6 @@ class _Interned(dict):
     def __missing__(self, idx: tuple[int, ...]) -> IndexSample:
         s = self[idx] = object.__new__(IndexSample)
         object.__setattr__(s, "indices", idx)
-        object.__setattr__(s, "multiplicities", None)
         return s
 
 

@@ -1,9 +1,11 @@
 """Downstream estimators: subsampled 1-means losses and sphere integrals.
 
-Both experiments compare an independent with-replacement baseline against a
-repulsive sample drawn from a kernel, with inverse-inclusion weights making
-each estimator unbiased for its target.  Each estimator takes the draws its
-caller made and returns one estimate per draw.
+Both experiments compare two sampling designs, independent draws with
+replacement and a repulsive DPP sample, under one Horvitz-Thompson
+estimator per task: each sampled point is weighted by the inverse of its
+expected count in one draw, which makes the estimate unbiased for its
+target.  The draws are the rows of a ``count x m`` index array, and each
+estimator returns one estimate per row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dpp_engine import IndexSample, ValidatedDpp
 from .point_cloud import PointCloud
 from .rng import SeededRng, as_generator
 
@@ -45,16 +46,32 @@ def sensitivity_scores(cloud: PointCloud) -> np.ndarray:
 
 
 def draw_with_replacement(
-    m: int, probabilities: np.ndarray, rng: SeededRng | np.random.Generator
-) -> IndexSample:
-    """Draw ``m`` indices iid from ``probabilities``; counts become multiplicities."""
+    m: int, probabilities: np.ndarray, rng: SeededRng | np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` draws of ``m`` indices iid from ``probabilities``.
+
+    Returns a ``count x m`` index array; row ``s`` is draw ``s`` in draw
+    order, repeats included.  The indices and the generator's end state
+    are those of ``count`` calls of ``gen.choice(n, size=m, p=p)``, which
+    inverts the same normalized CDF at ``m`` uniforms per draw; so are
+    its checks on ``p``.
+    """
     if m < 1:
         raise ValueError("sample size must be at least 1")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     p = np.asarray(probabilities, dtype=float)
-    gen = as_generator(rng)
-    counts = np.bincount(gen.choice(p.shape[0], size=m, p=p), minlength=p.shape[0])
-    retained = np.flatnonzero(counts)
-    return IndexSample(retained.tolist(), counts[retained].tolist())
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probabilities must be a nonempty 1-d array")
+    if np.isnan(p).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+    if abs(p.sum() - 1.0) > math.sqrt(np.finfo(float).eps):
+        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(as_generator(rng).random((count, m)), side="right")
 
 
 def loss_on_grid(points: np.ndarray, weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -62,130 +79,62 @@ def loss_on_grid(points: np.ndarray, weights: np.ndarray, thetas: np.ndarray) ->
 
     Expanded as ``c - 2 theta.b + a ||theta||^2`` with ``a = sum w``,
     ``b = sum w x`` and ``c = sum w ||x||^2``, so a grid costs one pass
-    over the points.
+    over the points.  Leading axes of ``points`` (``... x k x d``) and
+    ``weights`` (``... x k``) are batch axes, one weighted set each; the
+    result is ``... x len(thetas)``.
     """
-    a = float(weights.sum())
-    b = weights @ points
-    c = float(weights @ (points * points).sum(axis=1))
-    return c - 2.0 * thetas @ b + a * (thetas * thetas).sum(axis=1)
+    w = weights[..., None, :]
+    a = weights.sum(axis=-1)[..., None]
+    b = (w @ points)[..., 0, :]
+    c = (w @ (points * points).sum(axis=-1)[..., None])[..., 0]
+    return c - 2.0 * b @ thetas.T + a * (thetas * thetas).sum(axis=1)
 
 
-def _positive_diagonal(dpp: ValidatedDpp) -> np.ndarray:
-    diag = dpp.kernel.diagonal()
-    if (diag <= 0).any():
-        raise ValueError(
-            f"kernel diagonal vanishes at index {int(np.argmin(diag))}; "
-            "that point can never be sampled"
-        )
-    return diag
+_INTENSITY = "intensity (the kernel diagonal over n, or m p for iid draws)"
 
 
-def coreset_estimate_iid(
-    cloud: PointCloud,
-    thetas: np.ndarray,
-    m: int,
-    probabilities: np.ndarray,
-    samples: Sequence[IndexSample],
+def _positive(values: np.ndarray, n: int, what: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{what} must match the cloud size")
+    if (v <= 0).any():
+        raise ValueError(f"{what} nonpositive at index {int(np.argmin(v))}")
+    return v
+
+
+def coreset_estimates(
+    cloud: PointCloud, thetas: np.ndarray, samples: np.ndarray, intensity: np.ndarray
 ) -> np.ndarray:
-    """Loss estimates of ``m``-point with-replacement draws on a theta grid.
+    """Horvitz-Thompson loss estimates of each draw on a theta grid.
 
-    ``L_S = sum_i ||x_i - theta||^2 * count_i / (m * p_i)``; unbiased for
-    the full loss since each count has mean ``m * p_i``.  Row ``s`` holds
-    the estimates of ``samples[s]`` (a :func:`draw_with_replacement` draw)
-    at every row of ``thetas``.
+    ``L_S = sum_{j in S} ||x_j - theta||^2 / intensity_j``, where
+    ``intensity_j`` is point ``j``'s expected count in one draw: ``m p_j``
+    for ``m`` iid draws from ``p``, ``K_jj / n`` for a DPP.  Each must be
+    strictly positive, or a point that is never sampled biases the sum.
+    Row ``s`` of ``samples`` (``count x m`` indices) gives row ``s`` of
+    the result, its estimates at every row of ``thetas``.
     """
-    p = np.asarray(probabilities, dtype=float)
-    if p.shape != (cloud.n,):
-        raise ValueError("probabilities must match the cloud size")
+    lam = _positive(intensity, cloud.n, _INTENSITY)
     thetas = np.asarray(thetas, dtype=float)
-    out = np.empty((len(samples), thetas.shape[0]))
-    for s, smp in enumerate(samples):
-        idx = np.array(smp.indices, dtype=np.intp)
-        w = np.array(smp.multiplicities, dtype=float) / (m * p[idx])
-        out[s] = loss_on_grid(cloud.points[idx], w, thetas)
-    return out
+    return loss_on_grid(cloud.points[samples], 1.0 / lam[samples], thetas)
 
 
-def coreset_estimate_dpp(
-    cloud: PointCloud,
-    thetas: np.ndarray,
-    dpp: ValidatedDpp,
-    samples: Sequence[IndexSample],
+def sphere_integrals(
+    f_vals: np.ndarray, e_p: np.ndarray, samples: np.ndarray, intensity: np.ndarray
 ) -> np.ndarray:
-    """Loss estimates of repulsive draws on a theta grid, weighted by inclusion odds.
+    """Horvitz-Thompson volume-integral estimates of each draw.
 
-    ``L_S = sum_{i in S} ||x_i - theta||^2 / (K_ii / n)``; the diagonal must
-    be strictly positive so every point can be weighted.  Row ``s`` holds
-    the estimates of ``samples[s]`` (a draw of ``dpp``) at every row of
-    ``thetas``.
-    """
-    diag = _positive_diagonal(dpp)
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.empty((len(samples), thetas.shape[0]))
-    for s, smp in enumerate(samples):
-        idx = np.array(smp.indices, dtype=np.intp)
-        out[s] = loss_on_grid(cloud.points[idx], dpp.n / diag[idx], thetas)
-    return out
-
-
-def _check_density(e_p: np.ndarray, n: int) -> np.ndarray:
-    e = np.asarray(e_p, dtype=float)
-    if e.shape != (n,):
-        raise ValueError("density estimates must match the cloud size")
-    if (e <= 0).any():
-        raise ValueError(
-            f"density estimate nonpositive at index {int(np.argmin(e))}"
-        )
-    return e
-
-
-def sphere_integral_iid(
-    f_vals: np.ndarray,
-    m: int,
-    probabilities: np.ndarray,
-    e_p: np.ndarray,
-    samples: Sequence[IndexSample],
-) -> np.ndarray:
-    """Volume-integral estimates of ``m``-point with-replacement draws.
-
-    ``I_S = sum_i f(x_i) count_i / (n m p_i e_i)``; unbiased for
-    ``I_n = sum_i f(x_i) / (n e_i)``.  ``f_vals`` holds ``f`` at the
-    ``n`` cloud points; entry ``s`` is the estimate of ``samples[s]``.
+    ``I_S = sum_{j in S} f(x_j) / (n e_j intensity_j)``, with the
+    intensity of :func:`coreset_estimates`; unbiased for
+    ``I_n = sum_j f(x_j) / (n e_j)``.  ``f_vals`` holds ``f`` at the
+    ``n`` cloud points; entry ``s`` is the estimate of row ``s`` of
+    ``samples``.
     """
     f_vals = np.asarray(f_vals, dtype=float)
     n = f_vals.shape[0]
-    e = _check_density(e_p, n)
-    p = np.asarray(probabilities, dtype=float)
-    if p.shape != (n,):
-        raise ValueError("probabilities must match the cloud size")
-    out = np.empty(len(samples))
-    for s, smp in enumerate(samples):
-        idx = np.array(smp.indices, dtype=np.intp)
-        eps = np.array(smp.multiplicities, dtype=float)
-        out[s] = float((f_vals[idx] * eps / (n * m * p[idx] * e[idx])).sum())
-    return out
-
-
-def sphere_integral_dpp(
-    f_vals: np.ndarray,
-    dpp: ValidatedDpp,
-    e_p: np.ndarray,
-    samples: Sequence[IndexSample],
-) -> np.ndarray:
-    """Volume-integral estimates of repulsive draws.
-
-    ``I_S = sum_{i in S} f(x_i) / (n e_i K_ii / n)``; unbiased for ``I_n``.
-    ``f_vals`` holds ``f`` at the cloud points; entry ``s`` is the
-    estimate of ``samples[s]``.
-    """
-    f_vals = np.asarray(f_vals, dtype=float)
-    e = _check_density(e_p, f_vals.shape[0])
-    diag = _positive_diagonal(dpp)
-    out = np.empty(len(samples))
-    for s, smp in enumerate(samples):
-        idx = np.array(smp.indices, dtype=np.intp)
-        out[s] = float((f_vals[idx] / (e[idx] * diag[idx])).sum())
-    return out
+    e = _positive(e_p, n, "density estimate")
+    lam = _positive(intensity, n, _INTENSITY)
+    return ((f_vals / (n * e))[samples] / lam[samples]).sum(axis=-1)
 
 
 def quantile_relative_error(errors: Sequence[float], q: float) -> float:

@@ -37,14 +37,12 @@ from .dpp_engine import (
     validate_kernel,
 )
 from .estimators import (
-    coreset_estimate_dpp,
-    coreset_estimate_iid,
+    coreset_estimates,
     draw_with_replacement,
     loss_on_grid,
     quantile_relative_error,
     sensitivity_scores,
-    sphere_integral_dpp,
-    sphere_integral_iid,
+    sphere_integrals,
 )
 from .kernel_builders import (
     KernelMatrix,
@@ -198,6 +196,9 @@ def _validate_config(kind: str, cfg) -> None:
         grid = getattr(cfg, name, ())
         if hasattr(cfg, name) and (not grid or any(v < 1 for v in grid)):
             raise ConfigError(f"{where} {name}: must be a nonempty list of positive ints")
+        # a repeated entry would repeat its rows in the table
+        if len(set(grid)) != len(grid):
+            raise ConfigError(f"{where} {name}: entries must be distinct")
     if hasattr(cfg, "m_grid") and hasattr(cfg, "n") and max(cfg.m_grid) > cfg.n:
         raise ConfigError(f"{where} m_grid: entries must not exceed n = {cfg.n}")
     if hasattr(cfg, "quantile") and not 0.0 < cfg.quantile < 1.0:
@@ -299,11 +300,12 @@ def run_coreset(cfg: CoresetConfig) -> ResultTable:
             for mi, m in enumerate(cfg.m_grid):
                 dpp = validate_kernel(KernelMatrix(factor=basis[:, :m]))
                 samples = sample_dpp_many(dpp, base.substream(3, k, mi), cfg.draws)
-                est = coreset_estimate_dpp(cloud, thetas, dpp, samples)
+                # a projection kernel's draws all hold m indices
+                draws = np.array([s.indices for s in samples])
+                est = coreset_estimates(cloud, thetas, draws, dpp.kernel.diagonal() / dpp.n)
                 rel_dpp = np.max(np.abs(est - full) / full, axis=1)
-                gen = base.substream(4, k, mi).generator()
-                draws = [draw_with_replacement(m, probs, gen) for _ in range(cfg.draws)]
-                est = coreset_estimate_iid(cloud, thetas, m, probs, draws)
+                draws = draw_with_replacement(m, probs, base.substream(4, k, mi), cfg.draws)
+                est = coreset_estimates(cloud, thetas, draws, m * probs)
                 rel_iid = np.max(np.abs(est - full) / full, axis=1)
                 quantiles[(m, "dpp")].append(quantile_relative_error(rel_dpp, cfg.quantile))
                 quantiles[(m, "iid")].append(quantile_relative_error(rel_iid, cfg.quantile))
@@ -350,11 +352,11 @@ def run_sphere(cfg: SphereConfig) -> ResultTable:
             dpp = validate_kernel(family[m].kernel)
             with _Phase(f"sphere draws m={m} realization {rr}"):
                 samples = sample_dpp_many(dpp, base.substream(2, rr, mi), cfg.draws)
-                est = sphere_integral_dpp(f_vals, dpp, density, samples)
+                draws = np.array([s.indices for s in samples])
+                est = sphere_integrals(f_vals, density, draws, dpp.kernel.diagonal() / dpp.n)
                 errors[(m, "dpp")].extend(np.abs(est - SPHERE_TARGET) / SPHERE_TARGET)
-                gen = base.substream(3, rr, mi).generator()
-                draws = [draw_with_replacement(m, iid_probs, gen) for _ in range(cfg.draws)]
-                est = sphere_integral_iid(f_vals, m, iid_probs, density, draws)
+                draws = draw_with_replacement(m, iid_probs, base.substream(3, rr, mi), cfg.draws)
+                est = sphere_integrals(f_vals, density, draws, m * iid_probs)
                 errors[(m, "iid")].extend(np.abs(est - SPHERE_TARGET) / SPHERE_TARGET)
     reps = cfg.draws * cfg.realizations
     for m in cfg.m_grid:

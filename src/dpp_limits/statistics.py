@@ -57,8 +57,7 @@ def linear_statistic(
 ) -> float:
     """Sum of ``phi`` over ordered r-tuples of distinct sampled points.
 
-    A sample smaller than the arity gives the empty sum, 0.  Multiplicities
-    do not enter; the statistic sees the underlying index set.
+    A sample smaller than the arity gives the empty sum, 0.
     """
     idx = sample.indices
     if any(i < 0 or i >= cloud.n for i in idx):

@@ -9,8 +9,7 @@ from dpp_limits import (
     KernelMatrix,
     PointCloud,
     SeededRng,
-    coreset_estimate_dpp,
-    coreset_estimate_iid,
+    coreset_estimates,
     draw_with_replacement,
     kde_density,
     normalized_indicator_profile,
@@ -21,8 +20,7 @@ from dpp_limits import (
     sample_uniform_cube,
     sample_uniform_sphere,
     sensitivity_scores,
-    sphere_integral_dpp,
-    sphere_integral_iid,
+    sphere_integrals,
     true_loss,
     validate_kernel,
 )
@@ -30,6 +28,15 @@ from dpp_limits import (
 
 def cube(n, d=2, seed=0):
     return sample_uniform_cube(n, d, SeededRng(seed))
+
+
+def indices(samples):
+    # the count x m index array of a projection kernel's draws
+    return np.array([s.indices for s in samples])
+
+
+def dpp_intensity(dpp):
+    return dpp.kernel.diagonal() / dpp.n
 
 
 # --- true_loss --------------------------------------------------------------
@@ -92,8 +99,8 @@ def test_iid_estimate_single_point_exact():
     cloud = PointCloud(np.array([[0.5, 0.5]]))
     theta = np.array([0.0, 1.0])
     p = np.array([1.0])
-    draws = [draw_with_replacement(3, p, SeededRng(1))]
-    est = coreset_estimate_iid(cloud, theta[None], 3, p, draws)
+    draws = draw_with_replacement(3, p, SeededRng(1), 1)
+    est = coreset_estimates(cloud, theta[None], draws, 3 * p)
     assert est.shape == (1, 1)
     assert est[0, 0] == pytest.approx(true_loss(cloud, theta))
 
@@ -102,9 +109,9 @@ def test_iid_estimate_m1_formula():
     cloud = cube(6, seed=6)
     theta = np.array([0.2, -0.3])
     p = sensitivity_scores(cloud)
-    smp = draw_with_replacement(1, p, SeededRng(2))
-    est = coreset_estimate_iid(cloud, theta[None], 1, p, [smp])
-    j = smp.indices[0]
+    draws = draw_with_replacement(1, p, SeededRng(2), 1)
+    est = coreset_estimates(cloud, theta[None], draws, 1 * p)
+    j = draws[0, 0]
     expect = float(((cloud.points[j] - theta) ** 2).sum()) / p[j]
     assert est[0, 0] == pytest.approx(expect)
 
@@ -114,10 +121,9 @@ def test_iid_estimate_unbiased():
     theta = np.array([0.1, 0.4])
     target = true_loss(cloud, theta)
     p = sensitivity_scores(cloud)
-    gen = SeededRng(8).generator()
     reps = 100_000
-    draws = [draw_with_replacement(4, p, gen) for _ in range(reps)]
-    vals = coreset_estimate_iid(cloud, theta[None], 4, p, draws)[:, 0]
+    draws = draw_with_replacement(4, p, SeededRng(8), reps)
+    vals = coreset_estimates(cloud, theta[None], draws, 4 * p)[:, 0]
     band = 4.0 * vals.std() / math.sqrt(reps)
     assert abs(vals.mean() - target) <= band
 
@@ -131,7 +137,7 @@ def test_dpp_estimate_full_kernel_exact():
     # one theta, and a grid of them as the coreset runner evaluates
     grid = SeededRng(14).generator().uniform(-1.0, 1.0, (50, 2))
     for thetas in (np.array([[-0.2, 0.2]]), grid):
-        est = coreset_estimate_dpp(cloud, thetas, dpp, samples)
+        est = coreset_estimates(cloud, thetas, indices(samples), dpp_intensity(dpp))
         assert est.shape == (1, len(thetas))
         assert est[0] == pytest.approx([true_loss(cloud, t) for t in thetas])
 
@@ -141,7 +147,7 @@ def test_dpp_estimate_projection_cardinality():
     cloud = cube(n, seed=10)
     dpp = validate_kernel(ope_kernel(cloud, m))
     samples = [sample_dpp(dpp, SeededRng(4, i)) for i in range(20)]
-    est = coreset_estimate_dpp(cloud, np.zeros((1, 2)), dpp, samples)
+    est = coreset_estimates(cloud, np.zeros((1, 2)), indices(samples), dpp_intensity(dpp))
     assert all(len(smp) == m for smp in samples)
     assert (est > 0).all()
 
@@ -154,7 +160,7 @@ def test_dpp_estimate_unbiased():
     dpp = validate_kernel(ope_kernel(cloud, m))
     reps = 100_000
     samples = sample_dpp_many(dpp, SeededRng(12), reps)
-    vals = coreset_estimate_dpp(cloud, theta[None], dpp, samples)[:, 0]
+    vals = coreset_estimates(cloud, theta[None], indices(samples), dpp_intensity(dpp))[:, 0]
     band = 4.0 * vals.std() / math.sqrt(reps)
     assert abs(vals.mean() - target) <= band
 
@@ -164,9 +170,9 @@ def test_dpp_estimate_rejects_zero_diagonal():
     K = np.zeros((n, n))
     K[0, 0] = 1.0
     dpp = validate_kernel(KernelMatrix(K))
-    samples = sample_dpp_many(dpp, SeededRng(5), 1)
+    samples = indices(sample_dpp_many(dpp, SeededRng(5), 1))
     with pytest.raises(ValueError, match="diagonal"):
-        coreset_estimate_dpp(cube(n, seed=13), np.zeros((1, 2)), dpp, samples)
+        coreset_estimates(cube(n, seed=13), np.zeros((1, 2)), samples, dpp_intensity(dpp))
 
 
 # --- sphere estimators -------------------------------------------------------
@@ -182,8 +188,8 @@ def _sphere_setup(n=60, seed=20):
 def test_sphere_zero_function_zero():
     cloud, e_p = _sphere_setup()
     p = e_p / e_p.sum()
-    draws = [draw_with_replacement(5, p, SeededRng(1))]
-    est = sphere_integral_iid(np.zeros(cloud.n), 5, p, e_p, draws)
+    draws = draw_with_replacement(5, p, SeededRng(1), 1)
+    est = sphere_integrals(np.zeros(cloud.n), e_p, draws, 5 * p)
     assert est[0] == 0.0
 
 
@@ -193,7 +199,8 @@ def test_sphere_dpp_full_kernel_exact():
     dpp = validate_kernel(KernelMatrix(n * np.eye(n)))
     f_vals = cloud.points[:, 2] ** 2
     target = float((f_vals / (n * e_p)).sum())
-    est = sphere_integral_dpp(f_vals, dpp, e_p, sample_dpp_many(dpp, SeededRng(2), 1))
+    samples = indices(sample_dpp_many(dpp, SeededRng(2), 1))
+    est = sphere_integrals(f_vals, e_p, samples, dpp_intensity(dpp))
     assert est[0] == pytest.approx(target)
 
 
@@ -204,15 +211,15 @@ def test_sphere_estimators_unbiased_for_discrete_target():
     target = float((f_vals / (n * e_p)).sum())
     m = 6
     p = e_p / e_p.sum()
-    gen = SeededRng(3).generator()
     reps = 100_000
-    draws = [draw_with_replacement(m, p, gen) for _ in range(reps)]
-    vals = sphere_integral_iid(f_vals, m, p, e_p, draws)
+    draws = draw_with_replacement(m, p, SeededRng(3), reps)
+    vals = sphere_integrals(f_vals, e_p, draws, m * p)
     band = 4.0 * vals.std() / math.sqrt(reps)
     assert abs(vals.mean() - target) <= band
 
     dpp = validate_kernel(ope_kernel(cloud, m))
-    dvals = sphere_integral_dpp(f_vals, dpp, e_p, sample_dpp_many(dpp, SeededRng(4), reps))
+    samples = indices(sample_dpp_many(dpp, SeededRng(4), reps))
+    dvals = sphere_integrals(f_vals, e_p, samples, dpp_intensity(dpp))
     band = 4.0 * dvals.std() / math.sqrt(reps)
     assert abs(dvals.mean() - target) <= band
 
@@ -222,7 +229,7 @@ def test_sphere_rejects_nonpositive_density():
     bad = e_p.copy()
     bad[3] = 0.0
     with pytest.raises(ValueError, match="density"):
-        sphere_integral_iid(np.ones(cloud.n), 2, e_p / e_p.sum(), bad, [])
+        sphere_integrals(np.ones(cloud.n), bad, np.empty((0, 2), dtype=np.intp), 2 * e_p / e_p.sum())
 
 
 # --- quantile ----------------------------------------------------------------
@@ -257,6 +264,61 @@ def test_quantile_monotone(vals, q1, q2):
 
 def test_draw_with_replacement_counts():
     p = np.array([0.25, 0.25, 0.5])
-    smp = draw_with_replacement(100, p, SeededRng(9))
-    assert sum(smp.multiplicities) == 100
-    assert all(m >= 1 for m in smp.multiplicities)
+    draws = draw_with_replacement(100, p, SeededRng(9), 1)
+    assert draws.shape == (1, 100)
+    assert np.bincount(draws[0], minlength=3).sum() == 100
+    assert ((draws >= 0) & (draws < 3)).all()
+
+
+@pytest.mark.parametrize("count", [0, 1, 1000])
+@pytest.mark.parametrize("m", [1, 4, 256])
+def test_draw_with_replacement_is_the_choice_stream(m, count):
+    # count draws in one call are count calls of gen.choice, index for
+    # index, and leave the generator where those calls leave it; a numpy
+    # release that changes choice fails here
+    p = SeededRng(10).generator().uniform(0.0, 1.0, 37)
+    p[[0, 17]] = 0.0
+    p /= p.sum()
+    gen, ref = SeededRng(11).generator(), SeededRng(11).generator()
+    draws = draw_with_replacement(m, p, gen, count)
+    expect = [ref.choice(p.size, size=m, p=p) for _ in range(count)]
+    assert draws.shape == (count, m) and draws.dtype == np.intp
+    assert np.array_equal(draws, np.reshape(expect, (count, m)))
+    assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "m, p, count",
+    [
+        (2, [0.5, math.nan, 0.5], 1),
+        (2, [0.6, -0.1, 0.5], 1),
+        (2, [[0.5, 0.5]], 1),
+        (2, [0.5, 0.5 + 1e-7], 1),
+        (2, [], 1),
+        (0, [0.5, 0.5], 1),
+        (2, [0.5, 0.5], -1),
+    ],
+    ids=["nan", "negative", "2d", "sum-off-1e-7", "empty", "m-zero", "count-negative"],
+)
+def test_draw_with_replacement_input_checks(m, p, count):
+    with pytest.raises(ValueError):
+        draw_with_replacement(m, np.array(p), SeededRng(12), count)
+
+
+def test_draw_with_replacement_sum_slack_as_choice():
+    # choice accepts a sum within sqrt(eps) of 1, and so does this
+    p = np.array([0.5, 0.5 + 1e-9])
+    assert draw_with_replacement(3, p, SeededRng(13), 2).shape == (2, 3)
+    SeededRng(13).generator().choice(2, size=3, p=p)
+
+
+def test_estimators_reject_zero_intensity():
+    # a zero-probability point is never drawn, so its share of the target
+    # would be missing from every estimate
+    cloud = cube(4, seed=14)
+    p = np.array([0.5, 0.0, 0.25, 0.25])
+    draws = draw_with_replacement(3, p, SeededRng(15), 5)
+    with pytest.raises(ValueError, match="intensity"):
+        coreset_estimates(cloud, np.zeros((1, 2)), draws, 3 * p)
+    with pytest.raises(ValueError, match="intensity"):
+        sphere_integrals(np.ones(4), np.ones(4), draws, 3 * p)

@@ -76,6 +76,22 @@ def test_m_grid_exceeding_n_rejected(tmp_path):
         load_config(path, "coreset")
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("coreset", "[coreset]\nn = 32\nm_grid = 4, 8, 4\n"),
+        ("sphere", "[sphere]\nn = 32\nm_grid = 4, 4\n"),
+        ("usvt", "[usvt]\nn_grid = 20, 40, 20\n"),
+    ],
+    ids=["coreset", "sphere", "usvt"],
+)
+def test_repeated_grid_entry_rejected(tmp_path, kind, text):
+    path = write(tmp_path, "c.cfg", text)
+    with pytest.raises(ConfigError, match="entries must be distinct"):
+        load_config(path, kind)
+    assert main([kind, "--config", path, "--quiet"]) == 2
+
+
 def test_config_hash_stable():
     a = CoresetConfig(n=64)
     b = CoresetConfig(n=64)
@@ -293,8 +309,8 @@ _PINNED_CONFIGS = {
     "kernel_scale = 1.0\nreplicates = 2\nseed = 20240603\n",
 }
 _PINNED_MD5 = {
-    "coreset": "9d9ffba025e1eab6150de8600aff914b",
-    "sphere": "2bdc5a4764536dcd8da55e9f5b042428",
+    "coreset": "27e89b3c95bb3a8455f7178199a4e12d",
+    "sphere": "ae39ba0df2853c81df3913bf3a3f15dc",
     "usvt": "771f7929ce3df68803b609202a88f705",
     "checks": "dc201798415577428c8277ee0d0b2547",
 }
