@@ -5,8 +5,9 @@ Usage::
     dpp-limits <coreset|sphere|usvt|checks> --config <path> [--seed N] [--out <path>]
 
 Exit status: 0 on success, 1 when a self-check fails, 2 on configuration
-errors.  Results go to ``--out`` (or the config's ``out`` path, or stdout)
-as CSV; phase timings and stream ids go to stderr.
+errors or an unwritable output path.  Results go to ``--out`` (or the
+config's ``out`` path, or stdout) as CSV; phase timings and stream ids go
+to stderr.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = load_config(args.config, args.experiment, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         table = RUNNERS[args.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -51,8 +48,12 @@ def main(argv: list[str] | None = None) -> int:
     csv_text = table.to_csv()
     out = args.out if args.out is not None else (cfg.out or None)
     if out:
-        with open(out, "w", encoding="ascii", newline="") as fh:
-            fh.write(csv_text)
+        try:
+            with open(out, "w", encoding="ascii", newline="") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(csv_text)
     if args.experiment == "checks" and checks_failed(table):

@@ -147,7 +147,10 @@ def _parse_value(kind: str, key: str, raw: str, template) -> object:
         if isinstance(template, int):
             return int(raw)
         if isinstance(template, float):
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}: must be finite, got {raw!r}")
+            return value
         if isinstance(template, tuple):
             items = [s.strip() for s in raw.split(",") if s.strip()]
             if template and isinstance(template[0], int):
@@ -207,8 +210,9 @@ def _validate_config(kind: str, cfg) -> None:
         raise ConfigError(f"{where} alpha: must be in (0, 1]")
     if hasattr(cfg, "c") and not 0.0 <= cfg.c <= 1.0:
         raise ConfigError(f"{where} c: must be in [0, 1]")
-    if hasattr(cfg, "rho") and cfg.rho <= 0:
-        raise ConfigError(f"{where} rho: must be positive")
+    for name in ("rho", "kernel_scale"):
+        if hasattr(cfg, name) and getattr(cfg, name) <= 0:
+            raise ConfigError(f"{where} {name}: must be positive")
     if hasattr(cfg, "h1") and (cfg.h1 < 0 or cfg.h2 < 0):
         raise ConfigError(f"{where} bandwidths: must be nonnegative (0 = default)")
 

@@ -4,11 +4,12 @@ The r-point linear statistic of a test function ``phi`` over a sample is the
 sum of ``phi`` over all ordered r-tuples of distinct sampled points.  Its
 expectation under a kernel ``K`` with uniform weight ``1/n`` is the full
 r-tuple sum of ``phi * det(K_tuple) / n^r``, where tuples with repeated
-indices contribute zero.  One tuple-sum core serves a ``KernelMatrix`` and
-the Gram restriction of a ``ContinuousKernel`` alike; at r = 1 it reads
-only the kernel's diagonal.  The two bound checkers measure, on explicit
-matrices, how far apart subset determinants of two matrices can drift given
-entrywise or Frobenius/trace-level closeness.
+indices contribute zero.  Both sums evaluate ``phi`` on blocks of tuples.
+One tuple-sum core serves a ``KernelMatrix`` and the Gram restriction of a
+``ContinuousKernel`` alike; at r = 1 it reads only the kernel's diagonal.
+The two bound checkers measure, on explicit matrices, how far apart subset
+determinants of two matrices can drift given entrywise or
+Frobenius/trace-level closeness.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,26 +31,45 @@ logger = logging.getLogger(__name__)
 
 # full r-tuple expectation sums are rejected beyond this n^r budget
 TUPLE_SUM_BUDGET = 30_000_000
+# most subsets a bound checker enumerates, and tuples or subsets a sum holds
 SUBSET_ENUM_BUDGET = 1_000_000
 SUBSET_SAMPLE_COUNT = 10_000
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """An r-point statistic with declared arity and sup bound."""
+    """An r-point test function: ``fn`` takes ``arity`` arrays of shape
+    ``k x d``, the j-th holding the j-th point of each of ``k`` tuples, and
+    returns the ``k`` values (a scalar broadcasts)."""
 
     __test__ = False  # not a pytest case despite the name
 
     arity: int
-    fn: Callable[..., float]
-    sup_bound: float
+    fn: Callable[..., np.ndarray | float]
 
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
 
-    def __call__(self, *points: np.ndarray) -> float:
-        return float(self.fn(*points))
+
+def _phi_values(phi: TestFunction, *points: np.ndarray) -> np.ndarray:
+    """``phi`` on the ``k`` tuples given point-wise, as a length-``k`` vector."""
+    return np.full(len(points[0]), phi.fn(*points), dtype=float)
+
+
+def _ordering_sums(
+    phi: TestFunction, pts: np.ndarray, items: Iterable[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of at most ``SUBSET_ENUM_BUDGET`` r-subsets of ``items``, as ``k x r``
+    index arrays, each with ``phi`` summed over the ``r!`` orderings of every row."""
+    r = phi.arity
+    flat = itertools.chain.from_iterable(itertools.combinations(items, r))
+    while (block := np.fromiter(itertools.islice(flat, SUBSET_ENUM_BUDGET * r), np.intp)).size:
+        subsets = block.reshape(-1, r)
+        points = pts[subsets.T]
+        yield subsets, sum(
+            _phi_values(phi, *(points[j] for j in perm)) for perm in itertools.permutations(range(r))
+        )
 
 
 def linear_statistic(
@@ -62,57 +82,34 @@ def linear_statistic(
     idx = sample.indices
     if any(i < 0 or i >= cloud.n for i in idx):
         raise ValueError("sample indices outside the cloud")
-    if phi.arity > len(idx):
-        return 0.0
-    pts = cloud.points
-    return float(
-        sum(phi(*(pts[i] for i in tup)) for tup in itertools.permutations(idx, phi.arity))
-    )
-
-
-def _check_tuple_budget(n: int, r: int) -> None:
-    cost = n**r
-    if cost > TUPLE_SUM_BUDGET:
-        raise ValueError(
-            f"r = {r} over n = {n} needs ~{cost:.2e} tuple evaluations, "
-            f"budget is {TUPLE_SUM_BUDGET:.0e}"
-        )
-
-
-def _subset_det(K: np.ndarray, subset: tuple[int, ...]) -> float:
-    if len(subset) == 2:
-        i, j = subset
-        return float(K[i, i] * K[j, j] - K[i, j] * K[j, i])
-    return float(np.linalg.det(K[np.ix_(subset, subset)]))
+    return float(sum(sums.sum() for _, sums in _ordering_sums(phi, cloud.points, idx)))
 
 
 def _tuple_sum(
     cloud: PointCloud,
     phi: TestFunction,
-    diagonal: np.ndarray | None = None,
-    entries: np.ndarray | None = None,
+    diagonal: Callable[[], np.ndarray],
+    entries: Callable[[], np.ndarray],
 ) -> float:
     """Full r-tuple sum ``sum phi * det(K_tuple) / n^r``.
 
-    Repeated-index tuples vanish, so the sum runs over index subsets times
-    orderings.  At r = 1 it is ``phi_vals @ diagonal / n`` and reads only
-    the kernel's ``diagonal``; above, it reads the ``n x n`` ``entries``.
-    Callers check the tuple budget before building either.
+    Repeated-index tuples vanish, so it sums over index subsets, each
+    determinant times ``phi`` summed over the ``r!`` orderings.  Once
+    the ``n^r`` tuple budget admits the sum, r = 1 gives ``phi_vals @
+    diagonal() / n``, and only above is the ``n x n`` ``entries()`` built.
     """
-    n = cloud.n
-    r = phi.arity
+    n, r = cloud.n, phi.arity
+    if n**r > TUPLE_SUM_BUDGET:
+        raise ValueError(
+            f"r = {r} over n = {n} needs ~{n**r:.2e} tuple evaluations, "
+            f"budget is {TUPLE_SUM_BUDGET:.0e}"
+        )
     pts = cloud.points
     if r == 1:
-        return float(np.array([phi(pts[i]) for i in range(n)]) @ diagonal) / n
-    total = 0.0
-    for subset in itertools.combinations(range(n), r):
-        det = _subset_det(entries, subset)
-        if det == 0.0:
-            continue
-        total += det * sum(
-            phi(*(pts[i] for i in perm)) for perm in itertools.permutations(subset)
-        )
-    return total / n**r
+        return float(_phi_values(phi, pts) @ diagonal()) / n
+    K = entries()
+    blocks = _ordering_sums(phi, pts, range(n))
+    return sum(float(_batched_subset_dets(K, subsets) @ sums) for subsets, sums in blocks) / n**r
 
 
 def expected_linear_statistic(
@@ -125,10 +122,7 @@ def expected_linear_statistic(
     """
     if kernel.n != cloud.n:
         raise ValueError("kernel size does not match the cloud")
-    _check_tuple_budget(cloud.n, phi.arity)
-    if phi.arity == 1:
-        return _tuple_sum(cloud, phi, diagonal=kernel.diagonal())
-    return _tuple_sum(cloud, phi, entries=kernel.entries)
+    return _tuple_sum(cloud, phi, kernel.diagonal, lambda: kernel.entries)
 
 
 def empirical_moments(
@@ -174,10 +168,9 @@ def expected_statistic_continuous(
     stay cheap on very large clouds; above, the sum runs on the Gram matrix
     of :func:`gram_kernel`, built once the tuple budget admits it.
     """
-    _check_tuple_budget(cloud.n, phi.arity)
-    if phi.arity == 1:
-        return _tuple_sum(cloud, phi, diagonal=kernel.diagonal(cloud.points))
-    return _tuple_sum(cloud, phi, entries=gram_kernel(kernel, cloud).entries)
+    return _tuple_sum(
+        cloud, phi, lambda: kernel.diagonal(cloud.points), lambda: gram_kernel(kernel, cloud).entries
+    )
 
 
 def measure_error(

@@ -298,7 +298,7 @@ def test_criterion_8_gram_statistic_trend():
     # statistic equals the sample mean of phi, whose mean absolute gap to
     # the population integral shrinks with n; final at most initial / 3
     kern = dl.constant_kernel(1.0)
-    phi = dl.TestFunction(1, lambda x: float(math.cos(x[0]) + x[1] ** 2), sup_bound=2.0)
+    phi = dl.TestFunction(1, lambda x: np.cos(x[:, 0]) + x[:, 1] ** 2)
     base = dl.SeededRng(808)
     reference = dl.sample_uniform_cube(1_000_000, 2, base.substream(1))
     target = dl.expected_statistic_continuous(kern, reference, phi)

@@ -92,6 +92,24 @@ def test_repeated_grid_entry_rejected(tmp_path, kind, text):
     assert main([kind, "--config", path, "--quiet"]) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, text, key",
+    [
+        ("usvt", "[usvt]\nn_grid = 20\nkernel_scale = 0\n", "kernel_scale"),
+        ("usvt", "[usvt]\nn_grid = 20\nkernel_scale = nan\n", "kernel_scale"),
+        ("usvt", "[usvt]\nn_grid = 20\nrho = nan\n", "rho"),
+        ("sphere", "[sphere]\nh1 = nan\n", "h1"),
+        ("sphere", "[sphere]\nh2 = inf\n", "h2"),
+    ],
+    ids=["kernel_scale-zero", "kernel_scale-nan", "rho-nan", "h1-nan", "h2-inf"],
+)
+def test_nonfinite_or_zero_scale_rejected(tmp_path, kind, text, key):
+    path = write(tmp_path, "c.cfg", text)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path, kind)
+    assert main([kind, "--config", path, "--quiet"]) == 2
+
+
 def test_config_hash_stable():
     a = CoresetConfig(n=64)
     b = CoresetConfig(n=64)
@@ -262,6 +280,13 @@ def test_cli_config_error_exit_two(tmp_path):
 
 def test_cli_missing_file_exit_two(tmp_path):
     assert main(["coreset", "--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 2
+
+
+def test_cli_unwritable_output_exit_two(tmp_path, capsys):
+    cfg = write(tmp_path, "checks.cfg", "[checks]\nchecks = ope_projection\nseed = 4\n")
+    out = str(tmp_path / "missing" / "res.csv")
+    assert main(["checks", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert f"cannot write {out}: " in capsys.readouterr().err
 
 
 def test_cli_stdout_and_seed_override(tmp_path, capsys):

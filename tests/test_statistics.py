@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dpp_limits import statistics
 from dpp_limits import (
     IndexSample,
     KernelMatrix,
@@ -31,8 +32,8 @@ from dpp_limits import (
     validate_kernel,
 )
 
-ONE = TestFunction(1, lambda x: 1.0, sup_bound=1.0)
-PAIR_ONE = TestFunction(2, lambda x, y: 1.0, sup_bound=1.0)
+ONE = TestFunction(1, lambda x: 1.0)
+PAIR_ONE = TestFunction(2, lambda x, y: 1.0)
 
 
 def cube(n, d=2, seed=0):
@@ -58,7 +59,7 @@ def test_linear_statistic_ordered_distinct_pairs():
 
 
 def test_linear_statistic_arity_exceeds_sample():
-    phi3 = TestFunction(3, lambda x, y, z: 1.0, sup_bound=1.0)
+    phi3 = TestFunction(3, lambda x, y, z: 1.0)
     assert linear_statistic(phi3, cube(5), IndexSample((0, 1))) == 0.0
 
 
@@ -89,7 +90,7 @@ def test_expected_statistic_r1_keeps_factored_kernel_factored():
     n, m = 60, 6
     cloud = cube(n, seed=2)
     K = ope_kernel(cloud, m)
-    phi = TestFunction(1, lambda x: float(x[0] ** 2), sup_bound=1.0)
+    phi = TestFunction(1, lambda x: x[:, 0] ** 2)
     got = expected_linear_statistic(K, cloud, phi)
     assert K._entries is None  # no n x n matrix was built
     dense = expected_linear_statistic(KernelMatrix(K.entries), cloud, phi)
@@ -109,7 +110,7 @@ def test_oracle_triangle_r1(seed):
     cloud = cube(n, seed=seed)
     K = random_valid_kernel(n, SeededRng(seed, 9))
     dpp = validate_kernel(K)
-    phi = TestFunction(1, lambda x: float(x[0] - 0.5 * x[1] ** 2), sup_bound=1.5)
+    phi = TestFunction(1, lambda x: x[:, 0] - 0.5 * x[:, 1] ** 2)
     assert abs(
         expected_linear_statistic(K, cloud, phi) - _pmf_expectation(dpp, cloud, phi)
     ) <= 1e-8
@@ -120,14 +121,49 @@ def test_oracle_triangle_r2():
     cloud = cube(n, seed=6)
     K = random_valid_kernel(n, SeededRng(16))
     dpp = validate_kernel(K)
-    phi = TestFunction(2, lambda x, y: float(np.dot(x, y)), sup_bound=2.0)
+    phi = TestFunction(2, lambda x, y: (x * y).sum(axis=1))
     assert abs(
         expected_linear_statistic(K, cloud, phi) - _pmf_expectation(dpp, cloud, phi)
     ) <= 1e-8
 
 
+def test_oracle_triangle_r3():
+    n = 7
+    cloud = cube(n, seed=17)
+    K = random_valid_kernel(n, SeededRng(27))
+    dpp = validate_kernel(K)
+    # not symmetric in its arguments, so every ordering matters
+    phi = TestFunction(3, lambda x, y, z: x[:, 0] * y[:, 1] - z[:, 0] ** 2)
+    assert abs(
+        expected_linear_statistic(K, cloud, phi) - _pmf_expectation(dpp, cloud, phi)
+    ) <= 1e-8
+
+
+def test_sums_across_block_seams(monkeypatch):
+    # a block size that divides none of the tuple or subset counts moves
+    # every seam, and the sums must not change
+    n = 12
+    cloud = cube(n, seed=18)
+    K = random_valid_kernel(n, SeededRng(28))
+    pair = TestFunction(2, lambda x, y: x[:, 0] * y[:, 1] + x[:, 1])
+    triple = TestFunction(3, lambda x, y, z: x[:, 0] * y[:, 1] - z[:, 0] ** 2)
+    sample = IndexSample((0, 2, 3, 5, 8, 11))
+
+    def run():
+        return [
+            expected_linear_statistic(K, cloud, pair),
+            expected_linear_statistic(K, cloud, triple),
+            linear_statistic(pair, cloud, sample),
+            linear_statistic(triple, cloud, sample),
+        ]
+
+    default = run()
+    monkeypatch.setattr(statistics, "SUBSET_ENUM_BUDGET", 7)
+    assert run() == pytest.approx(default, rel=1e-12)
+
+
 def test_expected_statistic_rejects_infeasible():
-    phi4 = TestFunction(4, lambda *p: 1.0, sup_bound=1.0)
+    phi4 = TestFunction(4, lambda *p: 1.0)
     with pytest.raises(ValueError, match="budget"):
         expected_linear_statistic(random_valid_kernel(200, SeededRng(0)), cube(200), phi4)
 
@@ -139,7 +175,7 @@ def test_variance_identity_projection():
     cloud = cube(n, seed=7)
     K = ope_kernel(cloud, m)
     dpp = validate_kernel(K)
-    phi = TestFunction(1, lambda x: float(x[0]), sup_bound=1.0)
+    phi = TestFunction(1, lambda x: x[:, 0])
     pmf = enumerate_pmf(dpp)
     vals, probs = [], []
     for s, p in pmf.items():
@@ -159,7 +195,7 @@ def test_dpp_sample_mean_matches_expectation():
     cloud = cube(n, seed=8)
     K = random_valid_kernel(n, SeededRng(18))
     dpp = validate_kernel(K)
-    phi = TestFunction(1, lambda x: float(x[0] + x[1]), sup_bound=2.0)
+    phi = TestFunction(1, lambda x: x[:, 0] + x[:, 1])
     vals = np.array(
         [
             linear_statistic(phi, cloud, s)
@@ -198,7 +234,7 @@ def test_moments_rejects_empty():
 def test_kernel_error_identical_kernels_zero():
     K = random_valid_kernel(10, SeededRng(21))
     cloud = cube(10, seed=9)
-    phi = TestFunction(1, lambda x: float(x[0] ** 2), sup_bound=1.0)
+    phi = TestFunction(1, lambda x: x[:, 0] ** 2)
     assert kernel_error(K, K, cloud, phi) == 0.0
 
 
@@ -230,12 +266,12 @@ def test_kernel_error_below_entrywise_bound():
 
 def test_measure_error_same_cloud_zero():
     cloud = cube(40, seed=12)
-    phi = TestFunction(1, lambda x: float(x[0]), sup_bound=1.0)
+    phi = TestFunction(1, lambda x: x[:, 0])
     assert measure_error(gaussian_kernel(), cloud, phi, cloud) == 0.0
 
 
 def test_measure_error_constant_diagonal_r1():
-    phi = TestFunction(1, lambda x: 1.0, sup_bound=1.0)
+    phi = TestFunction(1, lambda x: 1.0)
     a, b = cube(30, seed=13), cube(500, seed=14)
     assert measure_error(gaussian_kernel(amplitude=0.7), a, phi, b) == pytest.approx(0.0)
 
@@ -245,14 +281,14 @@ def test_expected_statistic_continuous_pairs_match_explicit_sum():
     # (k_ii k_jj - k_ij^2) / n^2 evaluated pair by pair
     amplitude, bandwidth = 0.7, 0.8
     cloud = cube(10, seed=15)
-    phi = TestFunction(2, lambda x, y: float(x @ y + x[0]), sup_bound=3.0)
+    phi = TestFunction(2, lambda x, y: (x * y).sum(axis=1) + x[:, 0])
     pts = cloud.points
 
     def k(x, y):
         return amplitude * math.exp(-float((x - y) @ (x - y)) / bandwidth**2)
 
     explicit = sum(
-        phi(pts[i], pts[j]) * (k(pts[i], pts[i]) * k(pts[j], pts[j]) - k(pts[i], pts[j]) ** 2)
+        phi.fn(pts[[i]], pts[[j]]).item() * (k(pts[i], pts[i]) * k(pts[j], pts[j]) - k(pts[i], pts[j]) ** 2)
         for i, j in itertools.permutations(range(cloud.n), 2)
     ) / cloud.n**2
     got = expected_statistic_continuous(gaussian_kernel(bandwidth, amplitude), cloud, phi)
@@ -262,7 +298,7 @@ def test_expected_statistic_continuous_pairs_match_explicit_sum():
 def test_measure_error_decreases_with_n():
     # averaged over replicates the gap to a large reference draw shrinks
     # like 1/sqrt(n); final mean error at most half the initial one
-    phi = TestFunction(1, lambda x: float(x[0] ** 2 + 0.5 * x[1]), sup_bound=1.5)
+    phi = TestFunction(1, lambda x: x[:, 0] ** 2 + 0.5 * x[:, 1])
     kern = gaussian_kernel()
     reference = sample_uniform_cube(100_000, 2, SeededRng(99))
     means = []
@@ -367,7 +403,7 @@ def test_det_bound_frobenius_rejects_large_n():
 def test_constant_kernel_gram_zero_kernel_error():
     cloud = cube(12, seed=15)
     G = gram_kernel(constant_kernel(1.0), cloud)
-    phi = TestFunction(1, lambda x: float(x[0]), sup_bound=1.0)
+    phi = TestFunction(1, lambda x: x[:, 0])
     assert kernel_error(G, G, cloud, phi) == 0.0
 
 
