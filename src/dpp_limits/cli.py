@@ -5,7 +5,8 @@ Usage::
     dpp-limits <coreset|sphere|usvt|checks> --config <path> [--seed N] [--out <path>]
 
 Exit status: 0 on success, 1 when a self-check fails, 2 on configuration
-errors or an unwritable output path.  Results go to ``--out`` (or the
+errors or an unwritable output path, which is checked before the
+experiment runs.  Results go to ``--out`` (or the
 config's ``out`` path, or stdout) as CSV; phase timings and stream ids go
 to stderr.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .experiments import RUNNERS, ConfigError, checks_failed, load_config
@@ -32,6 +34,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str, mode: str = "w") -> bool:
+    """Write ``text`` to ``path``; on failure print why and return False."""
+    try:
+        with open(path, mode, encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _writable(path: str) -> bool:
+    """Check ``path`` by an empty append; remove the file if that created it."""
+    created = not os.path.lexists(path)
+    ok = _write(path, "", "a")
+    if ok and created:
+        os.remove(path)
+    return ok
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -41,21 +63,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = load_config(args.config, args.experiment, seed_override=args.seed)
+        out = args.out if args.out is not None else (cfg.out or None)
+        # an unwritable output fails before the run rather than after it
+        if out and not _writable(out):
+            return 2
         table = RUNNERS[args.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     csv_text = table.to_csv()
-    out = args.out if args.out is not None else (cfg.out or None)
-    if out:
-        try:
-            with open(out, "w", encoding="ascii", newline="") as fh:
-                fh.write(csv_text)
-        except OSError as exc:
-            print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
+    if not out:
         sys.stdout.write(csv_text)
+    elif not _write(out, csv_text):
+        return 2
     if args.experiment == "checks" and checks_failed(table):
         return 1
     return 0

@@ -31,6 +31,10 @@ NEGATIVE_PROB_TOL = 1e-12
 _BLOCK_BYTES = 1 << 24
 # single draws up to this size run the pure-Python chain
 _SMALL_N = 24
+# sample_dpp_many draws a projection of rank r >= n / _PROJECTOR_DIV at
+# n > _SMALL_N one draw at a time on the projector, which beats the lockstep
+# chain there (crossover table in README "Sampling")
+_PROJECTOR_DIV = 3
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,14 @@ def _conditional_chain(projector: np.ndarray, rank: int, gen: np.random.Generato
 
     Maintains the residual conditional diagonal through incremental
     Cholesky pivots; each step the residual probability vector is clamped
-    (values in ``[-1e-12, 0)`` to 0) and renormalized.
+    (values in ``[-1e-12, 0)`` to 0) and renormalized.  Reads exactly
+    ``rank`` uniforms, drawn up front, one per step.
     """
     n = projector.shape[0]
     d = projector.diagonal().astype(float, copy=True)
     C = np.empty((rank, n))
+    cum, sq = np.empty(n), np.empty(n)
+    u = gen.random(rank)
     chosen = np.empty(rank, dtype=np.intp)
     for t in range(rank):
         dmin = d.min()
@@ -168,21 +175,19 @@ def _conditional_chain(projector: np.ndarray, rank: int, gen: np.random.Generato
                     f"-{NEGATIVE_PROB_TOL:.0e} at draw step {t}"
                 )
             np.maximum(d, 0.0, out=d)
-        cum = np.cumsum(d)
+        np.cumsum(d, out=cum)
         total = cum[-1]
         if total <= 0.0:
             raise ArithmeticError(f"conditional probabilities vanished at draw step {t}")
-        j = int(np.searchsorted(cum, gen.random() * total, side="right"))
+        j = int(np.searchsorted(cum, u[t] * total, side="right"))
         j = min(j, n - 1)
         piv = d[j]
         if piv <= 0.0:
             raise ArithmeticError(f"selected index {j} has nonpositive residual mass")
-        col = projector[j].copy()
-        if t:
-            col -= C[:t].T @ C[:t, j]
+        col = C[t]
+        np.subtract(projector[j], C[:t, j] @ C[:t], out=col)
         col /= np.sqrt(piv)
-        C[t] = col
-        d -= col * col
+        d -= np.multiply(col, col, out=sq)
         chosen[t] = j
         d[chosen[: t + 1]] = 0.0
     chosen.sort()
@@ -429,19 +434,24 @@ def sample_dpp_many(
     and a residual at the edge of the ``NEGATIVE_PROB_TOL`` check can trip
     it on one path only.  A block whose chain trips a numerical check is
     drawn again one sample at a time, so the error raised is the one
-    :func:`sample_dpp` raises.  Equal draws within one call are one shared
-    :class:`IndexSample`, which is immutable: the call makes one object per
-    distinct index set.
+    :func:`sample_dpp` raises.  A projection kernel of rank at least
+    ``n / 3`` at ``n > 24`` is drawn one sample at a time on its projector,
+    so its samples are exactly :func:`sample_dpp`'s.  Equal draws within
+    one call are one shared :class:`IndexSample`, which is immutable: the
+    call makes one object per distinct index set.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     gen = as_generator(rng)
     n, r = dpp.n, int(np.count_nonzero(dpp._q))
+    interned = _Interned({(): _EMPTY})
+    if dpp._is_projection and n > _SMALL_N and _PROJECTOR_DIV * r >= n:
+        drawn = (_draw_once(dpp, gen) for _ in range(count))
+        return [interned.setdefault(s.indices, s) for s in drawn]
     # bytes per draw: phase-one uniforms and walk lengths, W, then d, cum,
     # col and the search mask
     per_draw = 8 * (2 * (n + r) + r * r + 4 * n)
     block = max(1, _BLOCK_BYTES // max(per_draw, 1))
-    interned = _Interned({(): _EMPTY})
     out: list[IndexSample] = []
     for first in range(0, count, block):
         size = min(block, count - first)
@@ -469,7 +479,8 @@ def inclusion_probability(kernel: KernelMatrix, indices) -> float:
         raise ValueError(f"index out of range for n = {n}")
     if not idx:
         return 1.0
-    sub = kernel.entries[np.ix_(idx, idx)]
+    B = kernel.factor
+    sub = kernel.entries[np.ix_(idx, idx)] if B is None else B[idx] @ B[idx].T
     return float(np.linalg.det(sub)) / n ** len(idx)
 
 

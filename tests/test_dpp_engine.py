@@ -92,6 +92,15 @@ def test_inclusion_probability_singleton_and_pair():
     assert inclusion_probability(K, [1, 3]) == pytest.approx(expect)
 
 
+def test_inclusion_probability_reads_a_factor():
+    K = KernelMatrix(factor=_random_factor(40, 7, seed=6))
+    dense = _dense_twin(K)
+    for A in ([3], [0, 17, 39], [5, 2, 30, 11]):
+        assert abs(inclusion_probability(K, A) - inclusion_probability(dense, A)) <= 1e-12
+    # the n x n product is never built
+    assert K._entries is None
+
+
 def test_inclusion_probability_rejects_duplicates():
     K = random_valid_kernel(4, SeededRng(2))
     with pytest.raises(ValueError, match="duplicate"):
@@ -313,15 +322,21 @@ def test_factored_and_dense_draw_alike(n, m):
 
 
 def _batch_kernel(kind, n, seed):
-    # spectra as eigenvalue / n: a projection, a mixed one with a few values
-    # strictly between 0 and 1, and a diffuse one with every value small
+    # spectra as eigenvalue / n: a projection of rank 5, one of rank n / 3
+    # rounded up (where sample_dpp_many's projector route starts), a mixed
+    # one with a few values strictly between 0 and 1, and a diffuse one with
+    # every value small
     gen = SeededRng(seed).generator()
     if kind == "zero":
         return KernelMatrix(np.zeros((n, n)))
     if kind == "diffuse":
         return random_valid_kernel(n, gen, eigenvalues=gen.uniform(0.0, min(n, 2.0), n))
-    top = np.ones(5) if kind.endswith("projection") else np.array([1.0, 0.9, 0.6, 0.3, 0.05])
-    top = top[: min(n, 5)]
+    if kind.endswith("wide-projection"):
+        top = np.ones(-(-n // dpp_engine._PROJECTOR_DIV))
+    elif kind.endswith("projection"):
+        top = np.ones(min(n, 5))
+    else:
+        top = np.array([1.0, 0.9, 0.6, 0.3, 0.05])[: min(n, 5)]
     if kind.startswith("dense"):
         lam = np.zeros(n)
         lam[n - top.size :] = n * top
@@ -331,27 +346,46 @@ def _batch_kernel(kind, n, seed):
 
 
 _BATCH_KINDS = [
-    "zero", "dense-projection", "factored-projection", "dense-mixed", "factored-mixed", "diffuse"
+    "zero",
+    "dense-projection",
+    "factored-projection",
+    "factored-wide-projection",
+    "dense-mixed",
+    "factored-mixed",
+    "diffuse",
 ]
-
-
-def _no_replay(dpp, gen):
-    raise AssertionError("a block was drawn again one sample at a time")
 
 
 def _assert_many_matches_singles(monkeypatch, dpp, count, seed):
     batched, single = SeededRng(seed).generator(), SeededRng(seed).generator()
-    with monkeypatch.context() as patch:
+    draw_block = dpp_engine._draw_block
+
+    def no_replay(*args):
         # the batched path must not lean on the single-draw fallback
-        patch.setattr(dpp_engine, "_draw_once", _no_replay)
+        try:
+            return draw_block(*args)
+        except ArithmeticError as exc:
+            raise AssertionError("a block was drawn again one sample at a time") from exc
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dpp_engine, "_draw_block", no_replay)
         many = sample_dpp_many(dpp, batched, count)
     assert isinstance(many, list)
     assert many == [sample_dpp(dpp, single) for _ in range(count)]
     assert batched.random() == single.random()
 
 
-@pytest.mark.parametrize("kind", _BATCH_KINDS)
-@pytest.mark.parametrize("n", [1, 8, 30, 300])
+# the wide projection routes from n = 30 on; at n = 300 its 4000 draws of
+# 100 chain steps each would cost seconds
+@pytest.mark.parametrize(
+    "n,kind",
+    [
+        (n, kind)
+        for n in (1, 8, 30, 300)
+        for kind in _BATCH_KINDS
+        if (n, kind) != (300, "factored-wide-projection")
+    ],
+)
 def test_sample_many_matches_sequential_draws(monkeypatch, kind, n):
     dpp = validate_kernel(_batch_kernel(kind, n, seed=n))
     for count in (0, 1, 7, 2000):
@@ -359,12 +393,50 @@ def test_sample_many_matches_sequential_draws(monkeypatch, kind, n):
 
 
 @pytest.mark.parametrize(
-    "kind,n", [("dense-mixed", 8), ("factored-projection", 30), ("diffuse", 300)]
+    "kind,n",
+    [
+        ("dense-mixed", 8),
+        ("factored-projection", 30),
+        ("factored-wide-projection", 30),
+        ("diffuse", 300),
+    ],
 )
 def test_sample_many_block_seams(monkeypatch, kind, n):
     monkeypatch.setattr(dpp_engine, "_BLOCK_BYTES", 1)  # one draw per block
     dpp = validate_kernel(_batch_kernel(kind, n, seed=n))
     _assert_many_matches_singles(monkeypatch, dpp, 40, seed=9)
+
+
+def test_sample_many_routes_wide_projections(monkeypatch):
+    # a projection of rank r >= n / 3 never enters the lockstep chain; one
+    # rank lower still does
+    lockstep, calls = dpp_engine._lockstep_chain, []
+
+    def counted(V, u):
+        calls.append(u.shape[0])
+        return lockstep(V, u)
+
+    monkeypatch.setattr(dpp_engine, "_lockstep_chain", counted)
+    n = 60
+    threshold = -(-n // dpp_engine._PROJECTOR_DIV)
+    for rank, routed in ((threshold, True), (threshold - 1, False)):
+        Q, _ = np.linalg.qr(SeededRng(rank).generator().standard_normal((n, rank)))
+        dpp = validate_kernel(KernelMatrix(factor=Q * math.sqrt(n)))
+        assert dpp.is_projection()
+        calls.clear()
+        _assert_many_matches_singles(monkeypatch, dpp, 30, seed=rank)
+        assert (not calls) is routed
+
+
+@pytest.mark.parametrize("kind", ["factored-projection", "factored-wide-projection"])
+def test_projection_draw_reads_n_plus_rank_uniforms(kind):
+    n = 40
+    dpp = validate_kernel(_batch_kernel(kind, n, seed=2))
+    rank = int(np.count_nonzero(dpp.eigenvalues))
+    gen, twin = SeededRng(6).generator(), SeededRng(6).generator()
+    assert len(sample_dpp(dpp, gen)) == rank
+    twin.random(n + rank)
+    assert gen.random() == twin.random()
 
 
 def test_sample_many_rejects_negative_count():
@@ -393,20 +465,21 @@ def test_sample_many_shares_equal_draws(monkeypatch, block_bytes):
 
 
 # one case per single-draw route: the pure-Python chain (n <= 24), the
-# cached projector, and the lockstep chain at one draw
+# cached projector, and the lockstep chain at one draw; the high-rank
+# projection is also drawn on the projector by sample_dpp_many
 @pytest.mark.parametrize(
     "n,fractions",
-    [(8, (1.0, 1.0, 1.0)), (40, (1.0, 1.0, 1.0)), (40, (0.9, 0.8, 0.7))],
-    ids=["small", "projector", "lockstep"],
+    [(8, (1.0,) * 3), (40, (1.0,) * 3), (40, (0.9, 0.8, 0.7)), (30, (1.0,) * 10)],
+    ids=["small", "projector", "lockstep", "high-rank-projector"],
 )
 def test_sample_many_raises_like_single_draws(n, fractions):
-    # three copies of one large column are not orthonormal, so the chain's
+    # copies of one large column are not orthonormal, so the chain's
     # residuals after the first step are rounding noise of order 1e-5 with
     # both signs, far below -NEGATIVE_PROB_TOL
     col = 1e6 * SeededRng(2).generator().standard_normal(n) / math.sqrt(n)
-    V = np.repeat(col[:, None], 3, axis=1)
+    V = np.repeat(col[:, None], len(fractions), axis=1)
     eigenvalues = np.zeros(n)
-    eigenvalues[-3:] = n * np.asarray(fractions)
+    eigenvalues[-len(fractions) :] = n * np.asarray(fractions)
     dpp = ValidatedDpp(KernelMatrix(factor=V), eigenvalues, V)
     # the first draw keeps at least two columns, so its chain has a
     # residual step
@@ -418,7 +491,7 @@ def test_sample_many_raises_like_single_draws(n, fractions):
         sample_dpp_many(dpp, SeededRng(3), 5)
     # the lockstep chain itself trips the check, not only the replay
     with pytest.raises(ArithmeticError, match=below):
-        dpp_engine._lockstep_chain(V, SeededRng(3).generator().random((5, 3)))
+        dpp_engine._lockstep_chain(V, SeededRng(3).generator().random((5, V.shape[1])))
 
 
 def test_sample_many_block_stays_within_budget(monkeypatch):

@@ -282,11 +282,35 @@ def test_cli_missing_file_exit_two(tmp_path):
     assert main(["coreset", "--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 2
 
 
-def test_cli_unwritable_output_exit_two(tmp_path, capsys):
+def _runner_must_not_run(cfg):
+    raise AssertionError("the runner ran although its output cannot be written")
+
+
+def test_cli_unwritable_output_exit_two(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, "checks.cfg", "[checks]\nchecks = ope_projection\nseed = 4\n")
     out = str(tmp_path / "missing" / "res.csv")
     assert main(["checks", "--config", cfg, "--out", out, "--quiet"]) == 2
     assert f"cannot write {out}: " in capsys.readouterr().err
+    # the output is checked before the run, not after it
+    monkeypatch.setitem(experiments.RUNNERS, "checks", _runner_must_not_run)
+    for bad in (out, str(tmp_path)):
+        assert main(["checks", "--config", cfg, "--out", bad, "--quiet"]) == 2
+        assert f"cannot write {bad}: " in capsys.readouterr().err
+
+
+def test_cli_failed_run_leaves_output_untouched(tmp_path, capsys, monkeypatch):
+    def failing(cfg):
+        raise ConfigError("[checks] unknown check 'x'")
+
+    monkeypatch.setitem(experiments.RUNNERS, "checks", failing)
+    cfg = write(tmp_path, "checks.cfg", "[checks]\nchecks = ope_projection\nseed = 4\n")
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("old contents\n")
+    for out in (kept, new):
+        assert main(["checks", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert kept.read_text() == "old contents\n"
+    assert not new.exists()
 
 
 def test_cli_stdout_and_seed_override(tmp_path, capsys):
