@@ -5,10 +5,10 @@ Usage::
     dpp-limits <coreset|sphere|usvt|checks> --config <path> [--seed N] [--out <path>]
 
 Exit status: 0 on success, 1 when a self-check fails, 2 on configuration
-errors or an unwritable output path, which is checked before the
-experiment runs.  Results go to ``--out`` (or the
-config's ``out`` path, or stdout) as CSV; phase timings and stream ids go
-to stderr.
+errors or an unwritable output path, which is checked before the experiment
+runs, 3 when the run raises ValueError or ArithmeticError (no CSV is
+written).  Results go to ``--out`` (or the config's ``out`` path, or stdout)
+as CSV; phase timings and stream ids go to stderr.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError) as exc:
+        print(f"{args.experiment} run failed: {exc}", file=sys.stderr)
+        return 3
     csv_text = table.to_csv()
     if not out:
         sys.stdout.write(csv_text)

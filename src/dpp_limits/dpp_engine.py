@@ -392,14 +392,14 @@ def _draw_block(
     n, q = dpp.n, dpp._q
     frac = np.flatnonzero((q > 0.0) & (q < 1.0))
     buf, starts, sel = _phase_one(q, frac, gen, count)
-    # draws with the same selected eigenvectors share one chain
-    if frac.size < 63:
-        keys = sel @ (1 << np.arange(frac.size))
-    else:
-        keys = np.unique(np.packbits(sel, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
-    order = np.argsort(keys, kind="stable")
+    # draws with the same selected eigenvectors share one chain; the
+    # constant last key keeps lexsort defined when no value is fractional
+    packed = np.packbits(sel, axis=1)
+    order = np.lexsort((*packed.T, np.zeros(count, np.uint8)))
+    packed = packed[order]
+    cuts = np.flatnonzero((packed[1:] != packed[:-1]).any(axis=1)) + 1
     groups: list[Iterable[tuple[int, ...]]] = []
-    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+    for rows in np.split(order, cuts):
         selected = q == 1.0
         selected[frac[sel[rows[0]]]] = True
         rank = int(selected.sum())

@@ -215,6 +215,10 @@ def _validate_config(kind: str, cfg) -> None:
             raise ConfigError(f"{where} {name}: must be positive")
     if hasattr(cfg, "h1") and (cfg.h1 < 0 or cfg.h2 < 0):
         raise ConfigError(f"{where} bandwidths: must be nonnegative (0 = default)")
+    # the default runs every check
+    for name in getattr(cfg, "checks", ()):
+        if name not in ChecksConfig.checks:
+            raise ConfigError(f"{where} checks: unknown check {name!r}")
 
 
 def config_hash(cfg) -> str:

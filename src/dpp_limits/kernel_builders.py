@@ -172,39 +172,28 @@ def gram_kernel(kernel: ContinuousKernel, cloud: PointCloud) -> KernelMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponents of one monomial ``x(1)^b1 * ... * x(d)^bd``."""
+def graded_monomials(d: int, m: int) -> np.ndarray:
+    """Exponents of the first ``m`` monomials in graded lexical order.
 
-    degrees: tuple[int, ...]
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.degrees)
-
-
-def graded_monomials(d: int, m: int) -> list[MultiIndex]:
-    """First ``m`` multi-indices in graded lexical order.
-
-    Sorted by total degree first; within a degree, lexicographically on
-    ``(b_1, ..., b_d)`` with ``b_1`` most significant.  The first element is
-    always the constant monomial.
+    Row ``k`` of the ``m x d`` integer array holds the exponents
+    ``(b_1, ..., b_d)`` of monomial ``x(1)^b1 * ... * x(d)^bd``.  Rows are
+    sorted by total degree first; within a degree, lexicographically with
+    ``b_1`` most significant.  Row 0 is always the constant monomial.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if m < 1:
         raise ValueError("m must be at least 1")
-    out: list[MultiIndex] = []
+    out: list[tuple[int, ...]] = []
     total = 0
     while len(out) < m:
-        batch = sorted(_compositions(total, d))
-        out.extend(MultiIndex(c) for c in batch)
+        out.extend(_compositions(total, d))
         total += 1
-    return out[:m]
+    return np.array(out[:m], dtype=np.intp)
 
 
 def _compositions(total: int, d: int) -> list[tuple[int, ...]]:
-    # all d-tuples of nonnegative integers summing to total
+    # all d-tuples of nonnegative integers summing to total, in lexical order
     if d == 1:
         return [(total,)]
     out = []
@@ -213,36 +202,25 @@ def _compositions(total: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def monomial_matrix(cloud: PointCloud, indices: Sequence[MultiIndex]) -> np.ndarray:
-    """Evaluate monomials on the cloud; column ``j`` is monomial ``j``."""
-    n = cloud.n
-    M = np.empty((n, len(indices)))
-    for j, mi in enumerate(indices):
-        M[:, j] = np.prod(cloud.points ** np.asarray(mi.degrees), axis=1)
-    return M
+def monomial_matrix(cloud: PointCloud, exponents: np.ndarray) -> np.ndarray:
+    """Evaluate monomials on the cloud; column ``j`` is monomial ``exponents[j]``."""
+    return np.prod(cloud.points[:, None, :] ** exponents, axis=2)
 
 
-def _legendre_tensor_matrix(cloud: PointCloud, indices: Sequence[MultiIndex]) -> np.ndarray:
+def _legendre_tensor_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Tensor-Legendre evaluations spanning the same graded flag.
 
-    ``P_{b1}(x_1) * ... * P_{bd}(x_d)`` expands over monomials of
+    Column ``j`` is ``P_{b1}(x_1) * ... * P_{bd}(x_d)`` at the points for
+    row ``j`` of ``exponents``; it expands over monomials of
     componentwise-smaller degree, so the change of basis from the monomial
     columns is unit-triangular in graded lexical order: every prefix spans
     the same space, and Gram-Schmidt yields the same orthonormal vectors.
     Unlike raw monomials, the columns stay well conditioned at high degree.
     """
-    d = cloud.dim
-    max_deg = [max(mi.degrees[j] for mi in indices) for j in range(d)]
-    vander = [
-        np.polynomial.legendre.legvander(cloud.points[:, j], max_deg[j])
-        for j in range(d)
-    ]
-    M = np.empty((cloud.n, len(indices)))
-    for j, mi in enumerate(indices):
-        col = vander[0][:, mi.degrees[0]].copy()
-        for axis in range(1, d):
-            col *= vander[axis][:, mi.degrees[axis]]
-        M[:, j] = col
+    vander = np.polynomial.legendre.legvander
+    M = vander(points[:, 0], exponents[:, 0].max())[:, exponents[:, 0]]
+    for x, b in zip(points.T[1:], exponents.T[1:]):
+        M *= vander(x, b.max())[:, b]
     return M
 
 
@@ -291,7 +269,7 @@ def ope_kernel(cloud: PointCloud, m: int) -> KernelMatrix:
     n = cloud.n
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, n] = [1, {n}], got {m}")
-    M = _legendre_tensor_matrix(cloud, graded_monomials(cloud.dim, m))
+    M = _legendre_tensor_matrix(cloud.points, graded_monomials(cloud.dim, m))
     try:
         P = orthonormalize_columns(M, np.full(n, 1.0 / n))
     except ValueError as exc:
@@ -446,10 +424,8 @@ def harmonic_kernel_family(
     # eigenvectors of the non-symmetric Laplacian, smallest eigenvalues
     U = inv_sqrt[:, None] * eigvecs
     # fix the sign ambiguity: largest-magnitude entry made positive
-    for i in range(top):
-        k = int(np.argmax(np.abs(U[:, i])))
-        if U[k, i] < 0:
-            U[:, i] = -U[:, i]
+    peak = U[np.argmax(np.abs(U), axis=0), np.arange(top)]
+    U *= np.where(peak < 0, -1.0, 1.0)
 
     density = kde_density(cloud, h2, profile, d_manifold)
     if (density <= 0).any():

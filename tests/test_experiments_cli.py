@@ -223,6 +223,12 @@ def test_run_checks_empty_list():
     assert table.rows == []
 
 
+def test_unknown_check_rejected_at_load(tmp_path):
+    path = write(tmp_path, "c.cfg", "[checks]\nchecks = ope_projection, nope\n")
+    with pytest.raises(ConfigError, match="unknown check 'nope'"):
+        load_config(path, "checks")
+
+
 def test_run_checks_unknown_name():
     with pytest.raises(ConfigError, match="unknown check"):
         run_checks(ChecksConfig(checks=("nope",), seed=2))
@@ -311,6 +317,20 @@ def test_cli_failed_run_leaves_output_untouched(tmp_path, capsys, monkeypatch):
         assert "config error" in capsys.readouterr().err
     assert kept.read_text() == "old contents\n"
     assert not new.exists()
+
+
+def test_cli_run_error_exit_three(tmp_path, capsys, monkeypatch):
+    def failing(cfg):
+        raise ArithmeticError("chain chose an index twice")
+
+    monkeypatch.setitem(experiments.RUNNERS, "checks", failing)
+    cfg = write(tmp_path, "checks.cfg", "[checks]\nchecks = ope_projection\nseed = 4\n")
+    out = tmp_path / "res.csv"
+    assert main(["checks", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "checks run failed: chain chose an index twice\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_stdout_and_seed_override(tmp_path, capsys):

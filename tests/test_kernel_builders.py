@@ -10,7 +10,6 @@ from dpp_limits import (
     AdjacencyMatrix,
     ContinuousKernel,
     KernelMatrix,
-    MultiIndex,
     PointCloud,
     SeededRng,
     constant_kernel,
@@ -91,16 +90,23 @@ def _oracle_graded(d, max_total):
     return sorted(all_idx, key=lambda b: (sum(b), b))
 
 
+def _graded_rows(d, m):
+    E = graded_monomials(d, m)
+    assert E.shape == (m, d)
+    assert np.issubdtype(E.dtype, np.integer)
+    return [tuple(row) for row in E.tolist()]
+
+
 def test_graded_monomials_univariate():
-    assert [mi.degrees for mi in graded_monomials(1, 3)] == [(0,), (1,), (2,)]
+    assert _graded_rows(1, 3) == [(0,), (1,), (2,)]
 
 
 def test_graded_monomials_trivial():
-    assert [mi.degrees for mi in graded_monomials(3, 1)] == [(0, 0, 0)]
+    assert _graded_rows(3, 1) == [(0, 0, 0)]
 
 
 def test_graded_monomials_bivariate_against_enumeration_oracle():
-    got = [mi.degrees for mi in graded_monomials(2, 4)]
+    got = _graded_rows(2, 4)
     assert got == _oracle_graded(2, 2)[:4]
     assert got[0] == (0, 0)
 
@@ -108,15 +114,11 @@ def test_graded_monomials_bivariate_against_enumeration_oracle():
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 4), m=st.integers(1, 30))
 def test_graded_monomials_matches_oracle(d, m):
-    got = [mi.degrees for mi in graded_monomials(d, m)]
+    got = _graded_rows(d, m)
     oracle = _oracle_graded(d, max_total=max(sum(b) for b in got))
     assert got == oracle[:m]
     # prefix stability
-    assert got[: m - 1] == [mi.degrees for mi in graded_monomials(d, m - 1)] if m > 1 else True
-
-
-def test_multi_index_total_degree():
-    assert MultiIndex((2, 0, 3)).total_degree == 5
+    assert got[: m - 1] == _graded_rows(d, m - 1) if m > 1 else True
 
 
 # --- ope_kernel ------------------------------------------------------------
@@ -175,11 +177,26 @@ def test_ope_basis_evaluation_matches_monomial_gram_schmidt():
     )
 
     cloud = cube(60, 2, seed=44)
-    idx = graded_monomials(2, 9)
+    exponents = graded_monomials(2, 9)
     w = np.full(60, 1.0 / 60)
-    Pm = orthonormalize_columns(monomial_matrix(cloud, idx), w)
-    Pl = orthonormalize_columns(_legendre_tensor_matrix(cloud, idx), w)
+    Pm = orthonormalize_columns(monomial_matrix(cloud, exponents), w)
+    Pl = orthonormalize_columns(_legendre_tensor_matrix(cloud.points, exponents), w)
     assert np.abs(Pm - Pl).max() <= 1e-12
+
+
+def test_legendre_tensor_columns_trivariate_oracle():
+    # column k is the product of one univariate Legendre polynomial per axis
+    from numpy.polynomial import Legendre
+
+    from dpp_limits.kernel_builders import _legendre_tensor_matrix
+
+    points = cube(50, 3, seed=46).points
+    exponents = graded_monomials(3, 20)
+    M = _legendre_tensor_matrix(points, exponents)
+    assert M.shape == (50, 20)
+    for k, b in enumerate(exponents):
+        col = np.prod([Legendre.basis(bj)(points[:, j]) for j, bj in enumerate(b)], axis=0)
+        assert np.abs(M[:, k] - col).max() <= 1e-12, k
 
 
 def test_ope_high_degree_univariate():
@@ -347,6 +364,26 @@ def test_harmonic_partial_eigensolver_structure_determinism_and_cap(monkeypatch)
         match="did not converge in 1 iterations at block widths 48, 300: worst Ritz residual",
     ):
         harmonic_kernel(cloud, 16, h1, h2, prof, 2)
+
+
+def test_harmonic_sign_fix_undoes_eigenvector_signs(monkeypatch):
+    # each eigenvector is defined up to sign; the builder makes its
+    # largest-magnitude entry positive, so flipping signs changes no bit
+    cloud, h1, h2, prof = _sphere_setup(n=200)
+    before = harmonic_kernel_family(cloud, (3, 12), h1, h2, prof, 2)
+    top_eigenpairs, flips = kernel_builders._top_eigenpairs, []
+
+    def flipped(apply, n, top):
+        mu, U, residual, iterations = top_eigenpairs(apply, n, top)
+        U[:, ::2] *= -1.0
+        flips.append(top)
+        return mu, U, residual, iterations
+
+    monkeypatch.setattr(kernel_builders, "_top_eigenpairs", flipped)
+    after = harmonic_kernel_family(cloud, (3, 12), h1, h2, prof, 2)
+    assert flips == [12]
+    for m in (3, 12):
+        assert after[m].kernel.factor.tobytes() == before[m].kernel.factor.tobytes()
 
 
 # --- factored projection kernels -------------------------------------------
