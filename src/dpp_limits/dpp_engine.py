@@ -11,7 +11,9 @@ so the sampler can be tested against ground truth.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -26,8 +28,8 @@ PROJECTION_SNAP = 1e-9
 # conditional probabilities in [-NEGATIVE_PROB_TOL, 0) are rounded to 0;
 # anything lower is a hard numerical failure
 NEGATIVE_PROB_TOL = 1e-12
-# working-set cap of one block of sample_dpp_many: its phase-one uniforms
-# and the lockstep chain's W, d, cum and col arrays
+# working-set cap of one block of sample_dpp_many: its uniform rows and the
+# lockstep chain's W, d, cum and col arrays
 _BLOCK_BYTES = 1 << 24
 # single draws up to this size run the pure-Python chain
 _SMALL_N = 24
@@ -51,6 +53,9 @@ class IndexSample:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+_EMPTY = IndexSample(())
 
 
 class ValidatedDpp:
@@ -84,7 +89,9 @@ class ValidatedDpp:
         q.setflags(write=False)
         self._q = q
         self._is_projection = bool(np.all((q == 0.0) | (q == 1.0)))
-        self._projection_cache: np.ndarray | None = None
+        # uniforms per draw: n select eigenvectors, then one per chain step
+        # up to the largest possible rank
+        self._width = n + int(np.count_nonzero(q))
 
     @property
     def n(self) -> int:
@@ -94,12 +101,11 @@ class ValidatedDpp:
         """True when every eigenvalue sits at 0 or n to snap tolerance."""
         return self._is_projection
 
-    def projection_matrix(self) -> np.ndarray:
-        """For projection kernels, the rank-r projector onto the top space."""
-        if self._projection_cache is None:
-            V = self._columns(self._q == 1.0)
-            self._projection_cache = V @ V.T
-        return self._projection_cache
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        # for projection kernels, the rank-r projector onto the top space
+        V = self._columns(self._q == 1.0)
+        return V @ V.T
 
     def _columns(self, selected: np.ndarray) -> np.ndarray:
         """Eigenvectors of the eigenvalues flagged in a length-n mask."""
@@ -151,19 +157,18 @@ def validate_kernel(kernel: KernelMatrix) -> ValidatedDpp:
     return ValidatedDpp(kernel, clamped, eigvecs)
 
 
-def _conditional_chain(projector: np.ndarray, rank: int, gen: np.random.Generator) -> np.ndarray:
-    """Sample ``rank`` indices sequentially from a rank-``rank`` projector.
+def _conditional_chain(projector: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sample ``rank = u.size`` indices sequentially from a rank-``rank`` projector.
 
     Maintains the residual conditional diagonal through incremental
     Cholesky pivots; each step the residual probability vector is clamped
-    (values in ``[-1e-12, 0)`` to 0) and renormalized.  Reads exactly
-    ``rank`` uniforms, drawn up front, one per step.
+    (values in ``[-1e-12, 0)`` to 0) and renormalized.  Step ``t`` reads
+    the uniform ``u[t]``.
     """
-    n = projector.shape[0]
+    n, rank = projector.shape[0], u.size
     d = projector.diagonal().astype(float, copy=True)
     C = np.empty((rank, n))
     cum, sq = np.empty(n), np.empty(n)
-    u = gen.random(rank)
     chosen = np.empty(rank, dtype=np.intp)
     for t in range(rank):
         dmin = d.min()
@@ -194,11 +199,11 @@ def _conditional_chain(projector: np.ndarray, rank: int, gen: np.random.Generato
     return chosen
 
 
-def _chain_small(P: np.ndarray, rank: int, gen: np.random.Generator) -> list[int]:
+def _chain_small(P: np.ndarray, uniforms: list[float]) -> list[int]:
     # same sequential conditioning as _conditional_chain, on plain floats;
     # beats array dispatch overhead for tiny matrices
     rows = P.tolist()
-    n = len(rows)
+    n, rank = len(rows), len(uniforms)
     d = [row[i] for i, row in enumerate(rows)]
     C: list[list[float]] = []
     chosen: list[int] = []
@@ -214,7 +219,7 @@ def _chain_small(P: np.ndarray, rank: int, gen: np.random.Generator) -> list[int
         total = sum(d)
         if total <= 0.0:
             raise ArithmeticError(f"conditional probabilities vanished at draw step {t}")
-        u = gen.random() * total
+        u = uniforms[t] * total
         acc = 0.0
         j = n - 1
         for i, v in enumerate(d):
@@ -244,35 +249,35 @@ def _chain_small(P: np.ndarray, rank: int, gen: np.random.Generator) -> list[int
     return chosen
 
 
-def _draw_once(dpp: ValidatedDpp, gen: np.random.Generator) -> IndexSample:
+def _draw_once(dpp: ValidatedDpp, u: np.ndarray) -> IndexSample:
+    # one draw from its row of n + r uniforms
     n = dpp.n
-    if n == 0:
-        return IndexSample(())
-    selected = gen.random(n) < dpp._q
-    rank = int(selected.sum())
+    selected = u[:n] < dpp._q
+    rank = int(np.count_nonzero(selected))
     if rank == 0:
-        return IndexSample(())
+        return _EMPTY
+    steps = u[n : n + rank]
     if n <= _SMALL_N:
         # for a projection kernel the selection is q == 1, so this is the
         # cached projector bit for bit
         V = dpp._columns(selected)
-        P = V @ V.T
-        return IndexSample(_chain_small(P, rank, gen))
+        return IndexSample(_chain_small(V @ V.T, steps.tolist()))
     if dpp._is_projection:
-        return IndexSample(_conditional_chain(dpp.projection_matrix(), rank, gen).tolist())
-    V = dpp._columns(selected)
-    return IndexSample(_lockstep_chain(V, gen.random((1, rank)))[0].tolist())
+        return IndexSample(_conditional_chain(dpp._projector, steps).tolist())
+    return IndexSample(_lockstep_chain(dpp._columns(selected), steps[None])[0].tolist())
 
 
 def sample_dpp(dpp: ValidatedDpp, rng: SeededRng | np.random.Generator) -> IndexSample:
     """Draw one exact sample.
 
-    Phase one selects eigenvectors independently with probability
-    ``eigenvalue / n``; phase two samples the resulting projection process
-    by sequential conditioning.  Same (seed, stream) reproduces the same
-    sample.
+    Reads one row of ``n + r`` uniforms, where ``r`` is the number of
+    nonzero eigenvalues: the first ``n`` keep each eigenvector with
+    probability ``eigenvalue / n``, and the next ``rank`` (the number kept)
+    drive the sequential conditioning that samples the projection onto the
+    kept eigenvectors; the rest of the row is unused.  Same (seed, stream)
+    reproduces the same sample.
     """
-    return _draw_once(dpp, as_generator(rng))
+    return _draw_once(dpp, as_generator(rng).random(dpp._width))
 
 
 def _lockstep_chain(V: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -328,46 +333,6 @@ def _lockstep_chain(V: np.ndarray, u: np.ndarray) -> np.ndarray:
     return chosen
 
 
-def _phase_one(
-    q: np.ndarray, frac: np.ndarray, gen: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvector selections of ``count`` consecutive draws.
-
-    ``q`` holds the selection probabilities and ``frac`` the positions of
-    the ``f`` of them strictly between 0 and 1; the others select always
-    or never.  Draw ``i`` starts at position ``starts[i]`` of the returned
-    uniforms: ``n`` of them select eigenvectors, as in :func:`_draw_once`,
-    and the next ``r_i`` (its rank) feed its chain steps.  ``gen`` ends
-    where ``count`` single draws leave it.  Returns the uniforms, the
-    starts and the ``count x f`` selections at ``frac``.
-    """
-    n, fq = q.size, q[frac]
-    step = n + int(np.count_nonzero(q == 1.0))
-    state = gen.bit_generator.state
-    buf = gen.random(count * (step + frac.size))
-    # the start of the next draw after a draw starting at every position
-    # that could be a start; the walk reads it through a memoryview, as a
-    # list of it would take about 40 bytes per position, beyond the budget
-    span = (count - 1) * (step + frac.size) + 1
-    nxt = np.arange(step, step + span)
-    for k, qk in zip(frac, fq):
-        nxt += buf[k : k + span] < qk
-    nxt = memoryview(nxt)
-    starts = []
-    p = 0
-    for _ in range(count):
-        starts.append(p)
-        p = nxt[p]
-    # rewind and consume exactly the walked uniforms
-    gen.bit_generator.state = state
-    gen.random(p)
-    starts = np.asarray(starts)
-    return buf, starts, buf[starts[:, None] + frac] < fq
-
-
-_EMPTY = IndexSample(())
-
-
 class _Interned(dict):
     """Index tuple -> its one sample, made at the first lookup.
 
@@ -382,16 +347,19 @@ class _Interned(dict):
 
 
 def _draw_block(
-    dpp: ValidatedDpp, gen: np.random.Generator, count: int
+    dpp: ValidatedDpp, u: np.ndarray
 ) -> tuple[list[Iterable[tuple[int, ...]]], list[int]]:
-    """The index tuples of ``count`` consecutive draws.
+    """The index tuples of the draws whose uniform rows are ``u``.
 
-    Returns them group by group, and the position of each draw's tuple in
-    that order; each chain's rows are checked strictly increasing.
+    Row ``i`` of the ``count x (n + r)`` array ``u`` is draw ``i``'s, read
+    as :func:`_draw_once` reads it.  Returns the tuples group by group, and
+    the position of each draw's tuple in that order; each chain's rows are
+    checked strictly increasing.
     """
     n, q = dpp.n, dpp._q
     frac = np.flatnonzero((q > 0.0) & (q < 1.0))
-    buf, starts, sel = _phase_one(q, frac, gen, count)
+    sel = u[:, frac] < q[frac]
+    count = u.shape[0]
     # draws with the same selected eigenvectors share one chain; the
     # constant last key keeps lexsort defined when no value is fractional
     packed = np.packbits(sel, axis=1)
@@ -400,14 +368,12 @@ def _draw_block(
     cuts = np.flatnonzero((packed[1:] != packed[:-1]).any(axis=1)) + 1
     groups: list[Iterable[tuple[int, ...]]] = []
     for rows in np.split(order, cuts):
-        selected = q == 1.0
-        selected[frac[sel[rows[0]]]] = True
+        selected = u[rows[0], :n] < q
         rank = int(selected.sum())
         if not rank:
             groups.append([()] * rows.size)
             continue
-        u = buf[starts[rows, None] + n + np.arange(rank)]
-        chosen = _lockstep_chain(dpp._columns(selected), u)
+        chosen = _lockstep_chain(dpp._columns(selected), u[rows, n : n + rank])
         if not (np.diff(chosen, axis=1) > 0).all():
             raise ArithmeticError("lockstep chain chose an index twice")
         # zip reuses its tuple once the caller's lookup drops it, so a
@@ -423,45 +389,43 @@ def sample_dpp_many(
 ) -> list[IndexSample]:
     """Draw ``count`` samples from one stream.
 
-    Draws go in blocks held under a fixed byte budget; within a block,
-    phase one runs for every draw at once, and the draws that selected the
-    same eigenvectors advance through one chain in lockstep.  The generator
-    ends where ``count`` sequential :func:`sample_dpp` calls leave it, and
-    the samples equal theirs up to floating-point rounding: the lockstep
+    Draw ``i`` reads row ``i`` of a ``count x (n + r)`` array of uniforms,
+    the row :func:`sample_dpp` reads, so the generator ends where ``count``
+    sequential :func:`sample_dpp` calls leave it.  Draws go in blocks held
+    under a fixed byte budget; within a block, the draws that selected the
+    same eigenvectors advance through one chain in lockstep.  Their samples
+    equal :func:`sample_dpp`'s up to floating-point rounding: the lockstep
     chain computes its residuals in another order, which may depend on
     the makeup of the block and of the group a draw falls in, so a uniform
     within rounding of a cumulative boundary can pick a neighbouring index,
     and a residual at the edge of the ``NEGATIVE_PROB_TOL`` check can trip
     it on one path only.  A block whose chain trips a numerical check is
-    drawn again one sample at a time, so the error raised is the one
-    :func:`sample_dpp` raises.  A projection kernel of rank at least
-    ``n / 3`` at ``n > 24`` is drawn one sample at a time on its projector,
-    so its samples are exactly :func:`sample_dpp`'s.  Equal draws within
-    one call are one shared :class:`IndexSample`, which is immutable: the
-    call makes one object per distinct index set.
+    drawn again from its rows one sample at a time, so the error raised is
+    the one :func:`sample_dpp` raises.  A projection kernel of rank at
+    least ``n / 3`` at ``n > 24`` is drawn one sample at a time on its
+    projector, so its samples are exactly :func:`sample_dpp`'s.  Equal
+    draws within one call are one shared :class:`IndexSample`, which is
+    immutable: the call makes one object per distinct index set.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     gen = as_generator(rng)
-    n, r = dpp.n, int(np.count_nonzero(dpp._q))
-    interned = _Interned({(): _EMPTY})
-    if dpp._is_projection and n > _SMALL_N and _PROJECTOR_DIV * r >= n:
-        drawn = (_draw_once(dpp, gen) for _ in range(count))
-        return [interned.setdefault(s.indices, s) for s in drawn]
-    # bytes per draw: phase-one uniforms and walk lengths, W, then d, cum,
-    # col and the search mask
-    per_draw = 8 * (2 * (n + r) + r * r + 4 * n)
+    n, width = dpp.n, dpp._width
+    r = width - n
+    lockstep = not (dpp._is_projection and n > _SMALL_N and _PROJECTOR_DIV * r >= n)
+    # bytes per draw: its uniform row, W, then d, cum, col and the search mask
+    per_draw = 8 * (width + r * r + 4 * n)
     block = max(1, _BLOCK_BYTES // max(per_draw, 1))
+    interned = _Interned({(): _EMPTY})
     out: list[IndexSample] = []
     for first in range(0, count, block):
-        size = min(block, count - first)
-        state = gen.bit_generator.state
-        try:
-            groups, position = _draw_block(dpp, gen, size)
-        except ArithmeticError:
-            gen.bit_generator.state = state
-            groups = [[_draw_once(dpp, gen).indices for _ in range(size)]]
-            position = range(size)
+        u = gen.random((min(block, count - first), width))
+        groups = None
+        if lockstep:
+            with suppress(ArithmeticError):
+                groups, position = _draw_block(dpp, u)
+        if groups is None:
+            groups, position = [[_draw_once(dpp, row).indices for row in u]], range(len(u))
         ordered: list[IndexSample] = []
         for tuples in groups:
             ordered += map(interned.__getitem__, tuples)

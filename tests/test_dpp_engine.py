@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpp_limits import (
     IndexSample,
@@ -428,15 +430,61 @@ def test_sample_many_routes_wide_projections(monkeypatch):
         assert (not calls) is routed
 
 
-@pytest.mark.parametrize("kind", ["factored-projection", "factored-wide-projection"])
-def test_projection_draw_reads_n_plus_rank_uniforms(kind):
-    n = 40
+# one case per spectrum and single-draw route: the pure-Python chain
+# (n <= 24), the lockstep chain at one draw, the empty draw, the cached
+# projector, and a projection that sample_dpp_many also draws on it
+@pytest.mark.parametrize(
+    "kind,n",
+    [
+        ("dense-mixed", 8),
+        ("factored-mixed", 40),
+        ("zero", 40),
+        ("factored-projection", 40),
+        ("factored-wide-projection", 40),
+    ],
+)
+def test_single_draw_reads_n_plus_r_uniforms(kind, n):
+    # r counts the nonzero eigenvalues, so the row is as wide whatever the
+    # size of the draw
     dpp = validate_kernel(_batch_kernel(kind, n, seed=2))
-    rank = int(np.count_nonzero(dpp.eigenvalues))
-    gen, twin = SeededRng(6).generator(), SeededRng(6).generator()
-    assert len(sample_dpp(dpp, gen)) == rank
-    twin.random(n + rank)
-    assert gen.random() == twin.random()
+    r = int(np.count_nonzero(dpp.eigenvalues > n * dpp_engine.PROJECTION_SNAP))
+    sizes = set()
+    for seed in range(20):
+        gen, twin = SeededRng(seed).generator(), SeededRng(seed).generator()
+        sizes.add(len(sample_dpp(dpp, gen)))
+        twin.random(n + r)
+        assert gen.random() == twin.random()
+    assert len(sizes) > 1 if "mixed" in kind else sizes == {r}
+
+
+# eigenvalue / n: both ends exactly and within PROJECTION_SNAP of them, or
+# anywhere in [0, 1]
+_SNAP = dpp_engine.PROJECTION_SNAP
+_FRACTION = st.one_of(st.sampled_from([0.0, _SNAP / 2, 1.0 - _SNAP / 2, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fractions=st.lists(_FRACTION, min_size=1, max_size=10),
+    count=st.integers(0, 60),
+    block_bytes=st.sampled_from([1, 1 << 10, 1 << 24]),
+    seed=st.integers(0, 1 << 16),
+)
+@example(fractions=[0.0] * 6, count=60, block_bytes=1 << 10, seed=0)
+@example(fractions=[1.0] * 6, count=60, block_bytes=1 << 10, seed=0)
+def test_sample_many_is_sequential_draws_property(fractions, count, block_bytes, seed):
+    n = len(fractions)
+    kernel = random_valid_kernel(n, SeededRng(seed), eigenvalues=n * np.array(fractions))
+    dpp = validate_kernel(kernel)
+    r = int(np.count_nonzero(dpp.eigenvalues / n >= _SNAP))
+    batched, single = SeededRng(seed, 1).generator(), SeededRng(seed, 1).generator()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dpp_engine, "_BLOCK_BYTES", block_bytes)
+        many = sample_dpp_many(dpp, batched, count)
+    assert many == [sample_dpp(dpp, single) for _ in range(count)]
+    twin = SeededRng(seed, 1).generator()
+    twin.random(count * (n + r))
+    assert batched.random() == single.random() == twin.random()
 
 
 def test_sample_many_rejects_negative_count():
@@ -496,7 +544,7 @@ def test_sample_many_raises_like_single_draws(n, fractions):
 
 def test_sample_many_block_stays_within_budget(monkeypatch):
     # the n = 8 spectrum (0.9, 0.6, 0.3, 0, ...) of the checks runner's
-    # scale: three fractional eigenvalues make phase one walk the buffer
+    # scale, whose blocks hold tens of thousands of draws
     n = 8
     lam = np.zeros(n)
     lam[-3:] = n * np.array([0.3, 0.6, 0.9])
@@ -504,18 +552,19 @@ def test_sample_many_block_stays_within_budget(monkeypatch):
     draw_block = dpp_engine._draw_block
     sizes, peaks = [], []
 
-    def measured(dpp, gen, count):
+    def measured(dpp, u):
         tracemalloc.start()
         try:
-            out = draw_block(dpp, gen, count)
+            # the copy puts the block's uniform rows inside the traced peak
+            out = draw_block(dpp, u.copy())
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        sizes.append(count)
+        sizes.append(u.shape[0])
         return out
 
     monkeypatch.setattr(dpp_engine, "_draw_block", measured)
-    count = 40_000
+    count = 100_000
     assert len(sample_dpp_many(dpp, SeededRng(2), count)) == count
     assert sizes[0] < count  # the first block is as large as the budget allows
     assert peaks[0] <= dpp_engine._BLOCK_BYTES

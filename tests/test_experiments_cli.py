@@ -381,7 +381,7 @@ _PINNED_MD5 = {
     "coreset": "27e89b3c95bb3a8455f7178199a4e12d",
     "sphere": "ae39ba0df2853c81df3913bf3a3f15dc",
     "usvt": "771f7929ce3df68803b609202a88f705",
-    "checks": "dc201798415577428c8277ee0d0b2547",
+    "checks": "936425d5b22bc0f649de4d766e926d4e",
 }
 # the last bits of eigensolvers and GEMMs depend on all four; the sphere
 # and usvt md5s change with 2 BLAS threads
