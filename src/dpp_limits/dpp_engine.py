@@ -11,6 +11,7 @@ so the sampler can be tested against ground truth.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,6 +57,13 @@ class IndexSample:
 
 
 _EMPTY = IndexSample(())
+
+
+def _unchecked(idx: tuple[int, ...]) -> IndexSample:
+    # a sample made without __post_init__, from sorted indices checked for a repeat
+    s = object.__new__(IndexSample)
+    object.__setattr__(s, "indices", idx)
+    return s
 
 
 class ValidatedDpp:
@@ -168,10 +176,11 @@ def _conditional_chain(projector: np.ndarray, u: np.ndarray) -> np.ndarray:
     n, rank = projector.shape[0], u.size
     d = projector.diagonal().astype(float, copy=True)
     C = np.empty((rank, n))
-    cum, sq = np.empty(n), np.empty(n)
+    # per-draw buffers: a step allocates no array, and calls numpy directly
+    cum, sq, g = np.empty(n), np.empty(n), np.empty(n)
     chosen = np.empty(rank, dtype=np.intp)
     for t in range(rank):
-        dmin = d.min()
+        dmin = np.minimum.reduce(d)
         if dmin < 0.0:
             # clamp tolerance stated on probabilities p = d / (rank - t)
             if dmin < -NEGATIVE_PROB_TOL * (rank - t):
@@ -180,21 +189,20 @@ def _conditional_chain(projector: np.ndarray, u: np.ndarray) -> np.ndarray:
                     f"-{NEGATIVE_PROB_TOL:.0e} at draw step {t}"
                 )
             np.maximum(d, 0.0, out=d)
-        np.cumsum(d, out=cum)
+        np.add.accumulate(d, out=cum)
         total = cum[-1]
         if total <= 0.0:
             raise ArithmeticError(f"conditional probabilities vanished at draw step {t}")
-        j = int(np.searchsorted(cum, u[t] * total, side="right"))
-        j = min(j, n - 1)
+        j = min(int(cum.searchsorted(u[t] * total, side="right")), n - 1)
         piv = d[j]
         if piv <= 0.0:
             raise ArithmeticError(f"selected index {j} has nonpositive residual mass")
         col = C[t]
-        np.subtract(projector[j], C[:t, j] @ C[:t], out=col)
-        col /= np.sqrt(piv)
+        np.subtract(projector[j], np.dot(C[:t, j], C[:t], out=g), out=col)
+        col /= math.sqrt(piv)
         d -= np.multiply(col, col, out=sq)
         chosen[t] = j
-        d[chosen[: t + 1]] = 0.0
+        d.put(chosen[: t + 1], 0.0)
     chosen.sort()
     return chosen
 
@@ -261,10 +269,14 @@ def _draw_once(dpp: ValidatedDpp, u: np.ndarray) -> IndexSample:
         # for a projection kernel the selection is q == 1, so this is the
         # cached projector bit for bit
         V = dpp._columns(selected)
-        return IndexSample(_chain_small(V @ V.T, steps.tolist()))
-    if dpp._is_projection:
-        return IndexSample(_conditional_chain(dpp._projector, steps).tolist())
-    return IndexSample(_lockstep_chain(dpp._columns(selected), steps[None])[0].tolist())
+        chosen = _chain_small(V @ V.T, steps.tolist())
+    elif dpp._is_projection:
+        chosen = _conditional_chain(dpp._projector, steps).tolist()
+    else:
+        chosen = _lockstep_chain(dpp._columns(selected), steps[None])[0].tolist()
+    if len(set(chosen)) < rank:
+        raise ArithmeticError("chain chose an index twice")
+    return _unchecked(tuple(chosen))
 
 
 def sample_dpp(dpp: ValidatedDpp, rng: SeededRng | np.random.Generator) -> IndexSample:
@@ -341,9 +353,7 @@ class _Interned(dict):
     """
 
     def __missing__(self, idx: tuple[int, ...]) -> IndexSample:
-        s = self[idx] = object.__new__(IndexSample)
-        object.__setattr__(s, "indices", idx)
-        return s
+        return self.setdefault(idx, _unchecked(idx))
 
 
 def _draw_block(

@@ -97,8 +97,11 @@ def _positive(values: np.ndarray, n: int, what: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"{what} must match the cloud size")
-    if (v <= 0).any():
-        raise ValueError(f"{what} nonpositive at index {int(np.argmin(v))}")
+    # NaN fails v > 0, and an infinite value would weigh its point by 0
+    bad = np.flatnonzero(~((v > 0) & (v < math.inf)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{what} nonpositive or non-finite at index {i}: {v[i]}")
     return v
 
 
@@ -110,7 +113,8 @@ def coreset_estimates(
     ``L_S = sum_{j in S} ||x_j - theta||^2 / intensity_j``, where
     ``intensity_j`` is point ``j``'s expected count in one draw: ``m p_j``
     for ``m`` iid draws from ``p``, ``K_jj / n`` for a DPP.  Each must be
-    strictly positive, or a point that is never sampled biases the sum.
+    strictly positive and finite, or a point that is never sampled (or one
+    weighed by 0) biases the sum.
     Row ``s`` of ``samples`` (``count x m`` indices) gives row ``s`` of
     the result, its estimates at every row of ``thetas``.
     """
@@ -139,9 +143,14 @@ def sphere_integrals(
 
 def quantile_relative_error(errors: Sequence[float], q: float) -> float:
     """Ceiling order statistic: value at sorted index ``ceil(q * len) - 1``."""
-    vals = sorted(float(e) for e in errors)
+    vals = [float(e) for e in errors]
     if not vals:
         raise ValueError("errors must be nonempty")
+    # NaN compares False both ways, so it would sort anywhere
+    for i, e in enumerate(vals):
+        if math.isnan(e):
+            raise ValueError(f"error is NaN at index {i}")
+    vals.sort()
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must be in (0, 1)")
     return vals[max(math.ceil(q * len(vals)) - 1, 0)]

@@ -25,6 +25,7 @@ import io
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable
 
@@ -413,10 +414,8 @@ def _check_sampler_tv(rng: SeededRng) -> tuple[bool, float]:
     lam[:3] = n * gen.uniform(0.0, 1.0, 3)
     dpp = validate_kernel(random_valid_kernel(n, gen, eigenvalues=lam))
     pmf = enumerate_pmf(dpp)
-    counts: dict[tuple[int, ...], int] = {}
-    for smp in sample_dpp_many(dpp, rng.substream(2), draws):
-        counts[smp.indices] = counts.get(smp.indices, 0) + 1
-    tv = 0.5 * sum(abs(counts.get(sub, 0) / draws - p) for sub, p in pmf.items())
+    counts = Counter(s.indices for s in sample_dpp_many(dpp, rng.substream(2), draws))
+    tv = 0.5 * sum(abs(counts[sub] / draws - p) for sub, p in pmf.items())
     return tv <= 0.02, 0.02 - tv
 
 

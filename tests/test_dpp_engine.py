@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,14 +16,18 @@ from dpp_limits import (
     ValidatedDpp,
     dpp_engine,
     enumerate_pmf,
+    harmonic_kernel,
     inclusion_probability,
+    normalized_indicator_profile,
     ope_kernel,
     random_valid_kernel,
     sample_dpp,
     sample_dpp_many,
     sample_uniform_cube,
+    sample_uniform_sphere,
     validate_kernel,
 )
+from dpp_limits.experiments import sphere_bandwidths
 
 
 # --- validate_kernel -------------------------------------------------------
@@ -455,6 +460,100 @@ def test_single_draw_reads_n_plus_r_uniforms(kind, n):
         twin.random(n + r)
         assert gen.random() == twin.random()
     assert len(sizes) > 1 if "mixed" in kind else sizes == {r}
+
+
+def _reference_chain(projector, u):
+    # the projector chain as it stood before its allocation-free rewrite,
+    # kept as the oracle that pins every index and error message on any host
+    n, rank = projector.shape[0], u.size
+    d = projector.diagonal().astype(float, copy=True)
+    C = np.empty((rank, n))
+    cum, sq = np.empty(n), np.empty(n)
+    chosen = np.empty(rank, dtype=np.intp)
+    for t in range(rank):
+        dmin = d.min()
+        if dmin < 0.0:
+            if dmin < -dpp_engine.NEGATIVE_PROB_TOL * (rank - t):
+                raise ArithmeticError(
+                    f"conditional probability {dmin / (rank - t):.3e} below "
+                    f"-{dpp_engine.NEGATIVE_PROB_TOL:.0e} at draw step {t}"
+                )
+            np.maximum(d, 0.0, out=d)
+        np.cumsum(d, out=cum)
+        total = cum[-1]
+        if total <= 0.0:
+            raise ArithmeticError(f"conditional probabilities vanished at draw step {t}")
+        j = int(np.searchsorted(cum, u[t] * total, side="right"))
+        j = min(j, n - 1)
+        piv = d[j]
+        if piv <= 0.0:
+            raise ArithmeticError(f"selected index {j} has nonpositive residual mass")
+        col = C[t]
+        np.subtract(projector[j], C[:t, j] @ C[:t], out=col)
+        col /= np.sqrt(piv)
+        d -= np.multiply(col, col, out=sq)
+        chosen[t] = j
+        d[chosen[: t + 1]] = 0.0
+    chosen.sort()
+    return chosen
+
+
+def _projection_kernels():
+    # the projectors sample_dpp draws on: OPE and harmonic kernels as the
+    # runners build them, and the batch tests' rank-n/3 projection
+    for n, m in ((40, 5), (120, 30), (300, 100)):
+        yield f"ope-{n}-{m}", ope_kernel(sample_uniform_cube(n, 2, SeededRng(n)), m)
+    cloud = sample_uniform_sphere(300, SeededRng(3))
+    h1, h2 = sphere_bandwidths(300)
+    for m in (16, 64):
+        kernel = harmonic_kernel(cloud, m, h1, h2, normalized_indicator_profile(2), 2)
+        yield f"harmonic-300-{m}", kernel
+    for n in (40, 300):
+        yield f"wide-{n}", _batch_kernel("factored-wide-projection", n, seed=n)
+
+
+def test_projector_chain_matches_reference():
+    for name, kernel in _projection_kernels():
+        dpp = validate_kernel(kernel)
+        assert dpp.is_projection(), name
+        P, rank = dpp._projector, kernel.factor.shape[1]
+        gen = SeededRng(7).generator()
+        for _ in range(20):
+            u = gen.random(rank)
+            expect = _reference_chain(P, u)
+            assert np.array_equal(dpp_engine._conditional_chain(P, u), expect), name
+
+
+def _raised(chain, P, u):
+    with pytest.raises(ArithmeticError) as info:
+        chain(P, u)
+    return str(info.value)
+
+
+def test_projector_chain_errors_match_reference():
+    # copies of one large column leave rounding noise of both signs, far
+    # below -NEGATIVE_PROB_TOL, after the first step
+    col = 1e6 * SeededRng(2).generator().standard_normal(40) / math.sqrt(40)
+    V = np.repeat(col[:, None], 3, axis=1)
+    cases = [
+        ("conditional probability .* below", V @ V.T, np.full(3, 0.5)),
+        ("vanished at draw step 0", np.zeros((5, 5)), np.array([0.5])),
+        # a uniform of 1 searches past the last cumulative value, and the
+        # capped index has no mass left
+        ("selected index 2 has nonpositive", np.diag([1.0, 1.0, 0.0]), np.array([1.0])),
+    ]
+    for pattern, P, u in cases:
+        message = _raised(_reference_chain, P, u)
+        assert re.search(pattern, message), message
+        assert _raised(dpp_engine._conditional_chain, P, u) == message
+
+
+def test_single_draw_rejects_a_repeated_index(monkeypatch):
+    # the one strict-increase check that replaces IndexSample's own
+    monkeypatch.setattr(dpp_engine, "_conditional_chain", lambda P, u: np.array([3, 3]))
+    dpp = validate_kernel(_batch_kernel("factored-projection", 40, seed=1))
+    with pytest.raises(ArithmeticError, match="chose an index twice"):
+        sample_dpp(dpp, SeededRng(0))
 
 
 # eigenvalue / n: both ends exactly and within PROJECTION_SNAP of them, or

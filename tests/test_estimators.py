@@ -232,6 +232,25 @@ def test_sphere_rejects_nonpositive_density():
         sphere_integrals(np.ones(cloud.n), bad, np.empty((0, 2), dtype=np.intp), 2 * e_p / e_p.sum())
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_estimators_reject_non_finite_weights(value):
+    # NaN passed the old nonpositive check and spoiled every estimate; an
+    # infinite intensity weighed its point by 0 and silently dropped it
+    cloud, e_p = _sphere_setup(n=10)
+    lam = 2 * e_p / e_p.sum()
+    draws = np.array([[0, 3], [1, 2]])
+    bad_e, bad_lam = e_p.copy(), lam.copy()
+    bad_e[3] = bad_lam[3] = value
+    bad_e[7] = bad_lam[7] = value
+    first = f"non-finite at index 3: {value}"
+    with pytest.raises(ValueError, match=f"density .*{first}"):
+        sphere_integrals(np.ones(cloud.n), bad_e, draws, lam)
+    with pytest.raises(ValueError, match=f"intensity .*{first}"):
+        sphere_integrals(np.ones(cloud.n), e_p, draws, bad_lam)
+    with pytest.raises(ValueError, match=f"intensity .*{first}"):
+        coreset_estimates(cloud, np.zeros((1, 3)), draws, bad_lam)
+
+
 # --- quantile ----------------------------------------------------------------
 
 
@@ -241,6 +260,14 @@ def test_quantile_constant_sequence():
 
 def test_quantile_order_statistic():
     assert quantile_relative_error(list(range(1, 101)), 0.9) == 90
+
+
+def test_quantile_rejects_nan():
+    # NaN compares False both ways, so sorted() would leave it anywhere:
+    # sorted([3.0, nan, 2.0, 1.0]) is [3.0, nan, 1.0, 2.0]
+    with pytest.raises(ValueError, match="NaN at index 1"):
+        quantile_relative_error([3.0, math.nan, 2.0, math.nan], 0.5)
+    assert quantile_relative_error([math.inf, 2.0, 1.0], 0.9) == math.inf
 
 
 def test_quantile_is_element_and_above_median():
