@@ -401,21 +401,22 @@ def sample_dpp_many(
 
     Draw ``i`` reads row ``i`` of a ``count x (n + r)`` array of uniforms,
     the row :func:`sample_dpp` reads, so the generator ends where ``count``
-    sequential :func:`sample_dpp` calls leave it.  Draws go in blocks held
-    under a fixed byte budget; within a block, the draws that selected the
-    same eigenvectors advance through one chain in lockstep.  Their samples
-    equal :func:`sample_dpp`'s up to floating-point rounding: the lockstep
-    chain computes its residuals in another order, which may depend on
-    the makeup of the block and of the group a draw falls in, so a uniform
-    within rounding of a cumulative boundary can pick a neighbouring index,
-    and a residual at the edge of the ``NEGATIVE_PROB_TOL`` check can trip
-    it on one path only.  A block whose chain trips a numerical check is
-    drawn again from its rows one sample at a time, so the error raised is
-    the one :func:`sample_dpp` raises.  A projection kernel of rank at
-    least ``n / 3`` at ``n > 24`` is drawn one sample at a time on its
-    projector, so its samples are exactly :func:`sample_dpp`'s.  Equal
-    draws within one call are one shared :class:`IndexSample`, which is
-    immutable: the call makes one object per distinct index set.
+    sequential :func:`sample_dpp` calls leave it.  Draws go in blocks of
+    equal size, to one draw, held under a fixed byte budget; within a block,
+    the draws that selected the same eigenvectors advance through one chain
+    in lockstep.  Their samples equal :func:`sample_dpp`'s up to
+    floating-point rounding: the lockstep chain computes its residuals in
+    another order, which may depend on the makeup of the block and of the
+    group a draw falls in, so a uniform within rounding of a cumulative
+    boundary can pick a neighbouring index, and a residual at the edge of
+    the ``NEGATIVE_PROB_TOL`` check can trip it on one path only.  A block
+    whose chain trips a numerical check is drawn again from its rows one
+    sample at a time, so the error raised is the one :func:`sample_dpp`
+    raises.  A projection kernel of rank at least ``n / 3`` at ``n > 24`` is
+    drawn one sample at a time on its projector, so its samples are exactly
+    :func:`sample_dpp`'s.  Equal draws within one call are one shared
+    :class:`IndexSample`, which is immutable: the call makes one object per
+    distinct index set.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -426,6 +427,9 @@ def sample_dpp_many(
     # bytes per draw: its uniform row, W, then d, cum, col and the search mask
     per_draw = 8 * (width + r * r + 4 * n)
     block = max(1, _BLOCK_BYTES // max(per_draw, 1))
+    # equal blocks under the budget, so that no small tail runs the chain
+    blocks = -(-count // block)
+    block = -(-count // blocks) if blocks else 1
     interned = _Interned({(): _EMPTY})
     out: list[IndexSample] = []
     for first in range(0, count, block):

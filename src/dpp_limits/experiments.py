@@ -216,6 +216,8 @@ def _validate_config(kind: str, cfg) -> None:
             raise ConfigError(f"{where} {name}: must be positive")
     if hasattr(cfg, "h1") and (cfg.h1 < 0 or cfg.h2 < 0):
         raise ConfigError(f"{where} bandwidths: must be nonnegative (0 = default)")
+    if hasattr(cfg, "h1") and cfg.n < 2 and not (cfg.h1 > 0 and cfg.h2 > 0):
+        raise ConfigError(f"{where} bandwidths: the defaults are 0 at n = {cfg.n}; set h1 and h2")
     # the default runs every check
     for name in getattr(cfg, "checks", ()):
         if name not in ChecksConfig.checks:

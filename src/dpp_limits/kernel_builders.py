@@ -41,6 +41,8 @@ _SUBSPACE_OVERSAMPLE = 32
 _RITZ_RTOL = 1e-14
 _SUBSPACE_MAX_ITERATIONS = 20
 _SUBSPACE_START = SeededRng(0x48415252)
+# rows per block of the dense builders' row-wise passes beside their n x n array
+_ROW_BLOCK = 64
 
 
 class KernelMatrix:
@@ -75,14 +77,16 @@ class KernelMatrix:
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError(f"kernel matrix must be square, got shape {K.shape}")
         _check_finite(K, "kernel entry")
-        scale = float(np.abs(K).max()) if K.size else 0.0
-        asym = float(np.abs(K - K.T).max()) if K.size else 0.0
+        # one n x n buffer: |K - K^T| for the check, then the symmetrized K
+        buf = np.subtract(K, K.T, out=np.empty(K.shape))
+        scale = max(float(K.max()), -float(K.min())) if K.size else 0.0
+        asym = float(np.abs(buf, out=buf).max()) if K.size else 0.0
         if asym > SYMMETRY_RTOL * scale:
             raise ValueError(
                 f"kernel asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|K| = "
                 f"{SYMMETRY_RTOL * scale:.3e}"
             )
-        self._entries = _symmetrized(K)
+        self._entries = _symmetrized(K, buf)
 
     @property
     def factor(self) -> np.ndarray | None:
@@ -111,10 +115,12 @@ def _check_finite(A: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what} at ({i}, {j})")
 
 
-def _symmetrized(K: np.ndarray) -> np.ndarray:
-    K = np.ascontiguousarray((K + K.T) / 2.0)
-    K.setflags(write=False)
-    return K
+def _symmetrized(K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # (K + K^T) / 2 in the C-order array out, or in a new one
+    out = np.add(K, K.T, out=np.empty(K.shape) if out is None else out)
+    out /= 2.0
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,8 +140,17 @@ def squared_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows, clipped at 0."""
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
-    sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
-    return np.maximum(sq, 0.0)
+    # |x|^2 + |y|^2 - 2 x.y in the one n x n array of the product
+    sq = x @ y.T
+    sq *= 2.0
+    xx, yy = (x * x).sum(axis=1), (y * y).sum(axis=1)
+    for rows in _row_blocks(sq.shape[0]):
+        np.subtract(xx[rows, None] + yy, sq[rows], out=sq[rows])
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _row_blocks(n: int) -> list[slice]:
+    return [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
 
 
 def constant_kernel(value: float = 1.0) -> ContinuousKernel:
@@ -151,9 +166,15 @@ def gaussian_kernel(bandwidth: float = 1.0, amplitude: float = 1.0) -> Continuou
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     b2 = bandwidth * bandwidth
+
+    def pairwise(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        G = squared_distances(X, Y)  # amplitude * exp(-G / b2), in place
+        np.exp(np.divide(np.negative(G, out=G), b2, out=G), out=G)
+        G *= amplitude
+        return G
+
     return ContinuousKernel(
-        pairwise=lambda X, Y: amplitude * np.exp(-squared_distances(X, Y) / b2),
-        diagonal=lambda X: np.full(X.shape[0], float(amplitude)),
+        pairwise=pairwise, diagonal=lambda X: np.full(X.shape[0], float(amplitude))
     )
 
 
@@ -305,12 +326,18 @@ def kde_density(
     if d_manifold < 1:
         raise ValueError("intrinsic dimension must be at least 1")
     n = cloud.n
-    # square root and scaling in place: two n x n arrays fewer per call
     t = squared_distances(cloud.points)
     np.sqrt(t, out=t)
     t /= h2
-    vals = np.asarray(profile(t), dtype=float)
-    return vals.sum(axis=0) / (n * h2**d_manifold)
+    # the profile on row blocks; the running column sums enter each block as
+    # its first row, so the rows add in order, as in one sum over the array
+    total = np.empty((0, n))
+    for rows in _row_blocks(n):
+        vals = np.asarray(profile(t[rows]), dtype=float)
+        if vals.shape != t[rows].shape:
+            raise ValueError(f"profile returned shape {vals.shape}, expected {t[rows].shape}")
+        total = np.concatenate((total, vals)).sum(axis=0, keepdims=True)
+    return total.reshape(-1) / (n * h2**d_manifold)
 
 
 @dataclass(frozen=True)
@@ -401,6 +428,8 @@ def harmonic_kernel_family(
         raise ValueError("bandwidths must be positive")
     top = ranks[-1]
 
+    # the density first, so that its distance array is gone before W exists
+    density = kde_density(cloud, h2, profile, d_manifold)
     # weights, then their degree double-normalization, in one n x n array
     W = squared_distances(cloud.points)
     W /= -4.0 * h1 * h1
@@ -408,7 +437,8 @@ def harmonic_kernel_family(
     deg = W.sum(axis=1)
     if (deg <= 0).any():
         raise ValueError(f"degenerate degree at point {int(np.argmin(deg))}")
-    np.divide(W, np.outer(deg, deg), out=W)
+    for rows in _row_blocks(n):
+        np.divide(W[rows], np.multiply.outer(deg[rows], deg), out=W[rows])
     row = W.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(row)
     # M = D^-1/2 W D^-1/2 is similar to D^-1 W, so (I - M) / h1^2 has the
@@ -427,7 +457,6 @@ def harmonic_kernel_family(
     peak = U[np.argmax(np.abs(U), axis=0), np.arange(top)]
     U *= np.where(peak < 0, -1.0, 1.0)
 
-    density = kde_density(cloud, h2, profile, d_manifold)
     if (density <= 0).any():
         raise ValueError(
             f"density estimate vanishes at point {int(np.argmin(density))}; "
@@ -509,7 +538,7 @@ class AdjacencyMatrix:
             raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
         if not np.array_equal(A, A.T):
             raise ValueError("adjacency matrix must be symmetric")
-        if A.size and not np.isin(A, (0.0, 1.0)).all():
+        if A.size and not ((A == 0.0) | (A == 1.0)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         if A.size and A.diagonal().any():
             raise ValueError("adjacency diagonal must be zero")
@@ -534,15 +563,18 @@ def latent_graph(gram: KernelMatrix, alpha: float, rng: SeededRng) -> AdjacencyM
     n = gram.n
     # the strict upper triangle, in row-major order
     upper = ~np.tri(n, dtype=bool)
-    probs = alpha * gram.entries[upper]
+    probs = gram.entries[upper]
+    probs *= alpha
     if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
         bad = float(probs.min()) if probs.min() < 0 else float(probs.max())
         raise ValueError(f"edge probability {bad} outside [0, 1]")
     gen = as_generator(rng)
     edges = gen.random(probs.shape[0]) < probs
+    del probs  # gone before the n x n array exists
     A = np.zeros((n, n))
     A[upper] = edges
-    return AdjacencyMatrix(A + A.T)
+    A.T[upper] = edges  # the mirror, in the same array
+    return AdjacencyMatrix(A)
 
 
 def usvt_kernel(

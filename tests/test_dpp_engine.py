@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -667,3 +668,42 @@ def test_sample_many_block_stays_within_budget(monkeypatch):
     assert len(sample_dpp_many(dpp, SeededRng(2), count)) == count
     assert sizes[0] < count  # the first block is as large as the budget allows
     assert peaks[0] <= dpp_engine._BLOCK_BYTES
+
+
+# the sphere runner's batch shape: 100 draws of a rank-128 projection at
+# n = 1000, whose budget of 97 draws per block splits them 50 + 50.  An OPE
+# kernel: its draws read the same under other BLAS builds and thread counts,
+# where the harmonic m = 128 kernel splits a near-degenerate eigenvalue
+# cluster differently
+@pytest.fixture(scope="module")
+def batch_dpp():
+    return validate_kernel(ope_kernel(sample_uniform_cube(1000, 2, SeededRng(11)), 128))
+
+
+def test_sample_many_equal_blocks_keep_the_draws(monkeypatch, batch_dpp):
+    draw_block, sizes = dpp_engine._draw_block, []
+
+    def recorded(dpp, u):
+        sizes.append(u.shape[0])
+        return draw_block(dpp, u)
+
+    monkeypatch.setattr(dpp_engine, "_draw_block", recorded)
+    gen, plain = SeededRng(12).generator(), SeededRng(12).generator()
+    many = sample_dpp_many(batch_dpp, gen, 100)
+    # the plain split of the budget: a full block, then a 3-draw tail
+    split = sample_dpp_many(batch_dpp, plain, 97) + sample_dpp_many(batch_dpp, plain, 3)
+    assert sizes == [50, 50, 97, 3]
+    assert many == split
+    assert gen.random() == plain.random()
+    draws = np.array([s.indices for s in many], dtype=np.int64)
+    assert hashlib.md5(draws.tobytes()).hexdigest() == "a60c796bde911b4532cdd8eae0f42c95"
+
+
+def test_sample_many_sphere_batch_traced_peak(batch_dpp):
+    tracemalloc.start()
+    try:
+        sample_dpp_many(batch_dpp, SeededRng(3), 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20

@@ -149,6 +149,24 @@ def test_run_coreset_deterministic_csv():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "bandwidths", ["", "h1 = 0.5\n", "h2 = 0.5\n"], ids=["defaults", "h2-default", "h1-default"]
+)
+def test_sphere_single_point_rejects_default_bandwidths(tmp_path, bandwidths):
+    # (log n / n)^... is exactly 0 at n = 1; the run used to exit 3
+    path = write(tmp_path, "c.cfg", "[sphere]\nn = 1\nm_grid = 1\n" + bandwidths)
+    with pytest.raises(ConfigError, match="defaults are 0 at n = 1"):
+        load_config(path, "sphere")
+    assert main(["sphere", "--config", path, "--quiet"]) == 2
+
+
+def test_sphere_single_point_runs_with_explicit_bandwidths(tmp_path):
+    text = "[sphere]\nn = 1\nm_grid = 1\nh1 = 0.5\nh2 = 0.5\ndraws = 3\nrealizations = 1\n"
+    path, out = write(tmp_path, "c.cfg", text), tmp_path / "sphere.csv"
+    assert main(["sphere", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert len(out.read_text().splitlines()) > 1
+
+
 def test_run_sphere_smoke():
     cfg = SphereConfig(n=150, m_grid=(2, 4), draws=10, realizations=1, seed=3)
     table = run_sphere(cfg)

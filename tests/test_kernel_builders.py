@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from dpp_limits import (
 )
 from dpp_limits import kernel_builders
 from dpp_limits.kernel_builders import squared_distances
+from dpp_limits.rng import as_generator
 
 
 def cube(n, d, seed=0, stream=0):
@@ -235,6 +237,17 @@ def test_kde_translation_invariant():
 def test_kde_rejects_nonpositive_bandwidth():
     with pytest.raises(ValueError):
         kde_density(cube(5, 2), 0.0, normalized_indicator_profile(2), 2)
+
+
+@pytest.mark.parametrize(
+    "profile, got",
+    [(lambda t: 1.0, r"\(\)"), (lambda t: t.sum(axis=1), r"\(50,\)")],
+    ids=["scalar", "one-per-row"],
+)
+def test_kde_rejects_profile_of_wrong_shape(profile, got):
+    # a scalar once summed to a scalar density for the whole cloud
+    with pytest.raises(ValueError, match=rf"returned shape {got}, expected \(50, 50\)"):
+        kde_density(cube(50, 2, seed=14), 0.5, profile, 2)
 
 
 # --- harmonic_kernel -------------------------------------------------------
@@ -586,3 +599,141 @@ def test_kernel_load_rejects_bad_row(tmp_path):
     path.write_text("n=2\n1.0 0.5\n0.5\n")
     with pytest.raises(ValueError, match="line 3"):
         load_kernel(str(path))
+
+
+# --- same-arithmetic oracles -----------------------------------------------
+
+# The dense builders' bodies before they held one n x n array at a time.
+# The rewrites keep every floating-point operation and its order, so their
+# results equal these bit for bit on any host; the pinned CSV md5s run only
+# on the host that recorded them.  The sizes straddle the 64-row blocks.
+
+
+def _reference_squared_distances(x, y=None):
+    y = x if y is None else y
+    sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
+    return np.maximum(sq, 0.0)
+
+
+def _reference_kde(cloud, h2, profile, d_manifold):
+    t = _reference_squared_distances(cloud.points)
+    np.sqrt(t, out=t)
+    t /= h2
+    vals = np.asarray(profile(t), dtype=float)
+    return vals.sum(axis=0) / (cloud.n * h2**d_manifold)
+
+
+def _reference_harmonic(cloud, top, h1, h2, profile, d_manifold):
+    # the family from its graph weights to the rank-top factor
+    n = cloud.n
+    W = _reference_squared_distances(cloud.points)
+    W /= -4.0 * h1 * h1
+    np.exp(W, out=W)
+    deg = W.sum(axis=1)
+    np.divide(W, np.outer(deg, deg), out=W)
+    inv_sqrt = 1.0 / np.sqrt(W.sum(axis=1))
+    mu, vecs, _, _ = kernel_builders._top_eigenpairs(
+        lambda X: inv_sqrt[:, None] * (W @ (inv_sqrt[:, None] * X)), n, top
+    )
+    U = inv_sqrt[:, None] * vecs
+    peak = U[np.argmax(np.abs(U), axis=0), np.arange(top)]
+    U *= np.where(peak < 0, -1.0, 1.0)
+    density = _reference_kde(cloud, h2, profile, d_manifold)
+    V = kernel_builders.orthonormalize_columns(U, 1.0 / (n * density))
+    return V * (1.0 / np.sqrt(density))[:, None], density, (1.0 - mu) / (h1 * h1)
+
+
+def _reference_symmetrized(K):
+    return np.ascontiguousarray((K + K.T) / 2.0)
+
+
+def _reference_adjacency(gram, alpha, rng):
+    n = gram.n
+    upper = ~np.tri(n, dtype=bool)
+    probs = alpha * gram.entries[upper]
+    edges = as_generator(rng).random(probs.shape[0]) < probs
+    A = np.zeros((n, n))
+    A[upper] = edges
+    return A + A.T
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1000])
+def test_dense_builders_match_reference_bits(n):
+    cloud = sample_uniform_sphere(n, SeededRng(n, 1))
+    x = cloud.points
+    other = x[: max(1, n // 3)] + 0.25
+    assert np.array_equal(squared_distances(x), _reference_squared_distances(x))
+    assert np.array_equal(squared_distances(x, other), _reference_squared_distances(x, other))
+    b, amp = 0.7, 1.3
+    expect = amp * np.exp(-_reference_squared_distances(x, other) / (b * b))
+    assert np.array_equal(gaussian_kernel(b, amp).pairwise(x, other), expect)
+    # a smooth profile, whose column sums depend on the order of the rows
+    for profile in (normalized_indicator_profile(2), lambda t: np.exp(-t * t)):
+        e = kde_density(cloud, 0.4, profile, 2)
+        assert np.array_equal(e, _reference_kde(cloud, 0.4, profile, 2))
+    K = gaussian_kernel(0.5).pairwise(x, x)
+    K += 1e-14 * SeededRng(n, 2).generator().standard_normal((n, n))
+    assert np.array_equal(KernelMatrix(K).entries, _reference_symmetrized(K))
+    gram = gram_kernel(gaussian_kernel(0.5), cloud)
+    A = latent_graph(gram, 0.8, SeededRng(n, 3)).entries
+    assert np.array_equal(A, _reference_adjacency(gram, 0.8, SeededRng(n, 3)))
+    top = min(n, 16)
+    prof = normalized_indicator_profile(2)
+    details = harmonic_kernel_family(cloud, (top,), 0.5, 0.6, prof, 2)[top]
+    factor, density, eigvals = _reference_harmonic(cloud, top, 0.5, 0.6, prof, 2)
+    assert np.array_equal(details.kernel.factor, factor)
+    assert np.array_equal(details.density, density)
+    assert np.array_equal(details.laplacian_eigenvalues, eigvals)
+    assert np.array_equal(details.kernel.entries, _reference_symmetrized(factor @ factor.T))
+
+
+def test_kernel_matrix_asymmetry_message_matches_reference():
+    # negative entries, so max|K| is -K.min()
+    K = -gaussian_kernel(0.5).pairwise(*[cube(65, 2, seed=15).points] * 2)
+    K[3, 40] += 1e-6
+    scale, asym = float(np.abs(K).max()), float(np.abs(K - K.T).max())
+    with pytest.raises(ValueError) as err:
+        KernelMatrix(K)
+    assert str(err.value) == (
+        f"kernel asymmetry {asym:.3e} exceeds 1e-10 * max|K| = {1e-10 * scale:.3e}"
+    )
+
+
+# --- memory: one n x n array per build -------------------------------------
+
+# traced peaks at n = 1000, in units of n x n doubles; each bound fails for
+# the builders that kept two or three throwaway n x n arrays alive
+_PEAK_BOUNDS = {
+    "harmonic_kernel_family": 1.5,
+    "kde_density": 1.25,
+    "squared_distances": 1.15,
+    "KernelMatrix": 1.1,
+    "gram_kernel": 2.1,
+    "latent_graph": 1.55,
+}
+
+
+@pytest.fixture(scope="module")
+def dense_builds():
+    cloud, h1, h2, prof = _sphere_setup(n=1000, seed=16)
+    gram = gram_kernel(gaussian_kernel(0.5), cloud)
+    dense = np.array(gram.entries)
+    return {
+        "harmonic_kernel_family": lambda: harmonic_kernel_family(cloud, (16,), h1, h2, prof, 2),
+        "kde_density": lambda: kde_density(cloud, h2, prof, 2),
+        "squared_distances": lambda: squared_distances(cloud.points),
+        "KernelMatrix": lambda: KernelMatrix(dense),
+        "gram_kernel": lambda: gram_kernel(gaussian_kernel(0.5), cloud),
+        "latent_graph": lambda: latent_graph(gram, 0.8, SeededRng(17)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_PEAK_BOUNDS))
+def test_dense_build_traced_peak(dense_builds, name):
+    tracemalloc.start()
+    try:
+        dense_builds[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * 1000 * 1000) <= _PEAK_BOUNDS[name]
