@@ -26,7 +26,7 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import Callable
 
 import numpy as np
@@ -196,10 +196,12 @@ def _validate_config(kind: str, cfg) -> None:
     for name in ("n", "d", "draws", "theta_count", "realizations", "replicates"):
         if hasattr(cfg, name) and getattr(cfg, name) < 1:
             raise ConfigError(f"{where} {name}: must be positive")
-    for name in ("m_grid", "n_grid"):
+    for name in ("m_grid", "n_grid", "checks"):
         grid = getattr(cfg, name, ())
-        if hasattr(cfg, name) and (not grid or any(v < 1 for v in grid)):
-            raise ConfigError(f"{where} {name}: must be a nonempty list of positive ints")
+        if hasattr(cfg, name) and not grid:
+            raise ConfigError(f"{where} {name}: must be a nonempty list")
+        if name != "checks" and any(v < 1 for v in grid):
+            raise ConfigError(f"{where} {name}: entries must be positive ints")
         # a repeated entry would repeat its rows in the table
         if len(set(grid)) != len(grid):
             raise ConfigError(f"{where} {name}: entries must be distinct")
@@ -225,7 +227,11 @@ def _validate_config(kind: str, cfg) -> None:
 
 
 def config_hash(cfg) -> str:
-    """Stable short digest of the resolved configuration."""
+    """Stable short digest of the resolved configuration.
+
+    ``out`` is digested as ``""``, so where the CSV goes does not change it.
+    """
+    cfg = replace(cfg, out="")
     text = "\n".join(
         f"{f.name}={getattr(cfg, f.name)!r}" for f in dataclass_fields(type(cfg))
     )

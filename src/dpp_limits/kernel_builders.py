@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .point_cloud import PointCloud, _read_matrix, _write_matrix
+from .point_cloud import PointCloud
 from .rng import SeededRng, as_generator
 
 SYMMETRY_RTOL = 1e-10
@@ -358,11 +357,6 @@ class HarmonicDetails:
     ritz_residual: float  # worst ||M u_i - mu_i u_i|| of the top pairs / mu_1
     subspace_iterations: int  # block subspace iterations, over both widths
 
-    @cached_property
-    def aux_kernel(self) -> np.ndarray:
-        """Sum of ``v_i v_i^T`` before density reweighting, built on first read."""
-        return self.basis @ self.basis.T
-
 
 def harmonic_kernel(
     cloud: PointCloud,
@@ -618,20 +612,3 @@ def usvt_retained_rank(adjacency: AdjacencyMatrix, alpha: float, rho: float) -> 
     gamma = rho * (alpha * adjacency.n) ** 0.75
     return int((np.linalg.eigvalsh(adjacency.entries) >= gamma).sum())
 
-
-# ---------------------------------------------------------------------------
-# kernel matrix serialization (same text format as point clouds)
-# ---------------------------------------------------------------------------
-
-
-def save_kernel(kernel: KernelMatrix, path: str) -> None:
-    """Write a kernel matrix as ``n=<n>`` header plus one row per line."""
-    _write_matrix(path, "n", kernel.entries)
-
-
-def load_kernel(path: str) -> KernelMatrix:
-    """Read a kernel matrix written by :func:`save_kernel`."""
-    K = _read_matrix(path, "n", 0)
-    if K.shape[0] != K.shape[1]:
-        raise ValueError(f"{path}: expected {K.shape[1]} rows, got {K.shape[0]}")
-    return KernelMatrix(K)

@@ -43,9 +43,6 @@ class PointCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def translated(self, offset: np.ndarray) -> "PointCloud":
-        return PointCloud(self.points + np.asarray(offset, dtype=float))
-
 
 def sample_uniform_cube(n: int, d: int, rng: SeededRng) -> PointCloud:
     """Draw ``n`` iid points with coordinates uniform on [-1, 1]."""
@@ -74,61 +71,3 @@ def sample_uniform_sphere(n: int, rng: SeededRng) -> PointCloud:
         norms = np.linalg.norm(pts, axis=1)
     return PointCloud(pts / norms[:, None])
 
-
-def _write_matrix(path: str, key: str, rows: np.ndarray) -> None:
-    """Write a ``<key>=<columns>`` header plus one text row per matrix row.
-
-    Entries are written with shortest round-trip ``repr``, so a write/read
-    cycle reproduces them bit-exactly.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{key}={rows.shape[1]}\n")
-        for row in rows:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_matrix(path: str, key: str, min_columns: int) -> np.ndarray:
-    """Read a matrix written by :func:`_write_matrix`; blank lines are skipped.
-
-    Errors name the file and line: a missing or malformed header, a column
-    count below ``min_columns``, a row of the wrong length (``dimension
-    mismatch``) or an unparseable entry.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(f"{key}="):
-        raise ValueError(f"{path}: line 1: expected header '{key}=<columns>'")
-    raw = lines[0][len(key) + 1 :]
-    try:
-        width = int(raw)
-    except ValueError:
-        raise ValueError(f"{path}: line 1: malformed column count {raw!r}") from None
-    if width < min_columns:
-        raise ValueError(
-            f"{path}: line 1: column count must be at least {min_columns}, got {width}"
-        )
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != width:
-            raise ValueError(
-                f"{path}: line {lineno}: dimension mismatch, expected {width} "
-                f"entries, got {len(parts)}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: unparseable entry") from None
-    return np.array(rows, dtype=float) if rows else np.empty((0, width))
-
-
-def save_points(cloud: PointCloud, path: str) -> None:
-    """Write a cloud as ``d=<dim>`` header plus one text row per point."""
-    _write_matrix(path, "d", cloud.points)
-
-
-def load_points(path: str) -> PointCloud:
-    """Read a cloud written by :func:`save_points`."""
-    return PointCloud(_read_matrix(path, "d", 1))

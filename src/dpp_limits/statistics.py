@@ -18,7 +18,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -123,21 +123,6 @@ def expected_linear_statistic(
     if kernel.n != cloud.n:
         raise ValueError("kernel size does not match the cloud")
     return _tuple_sum(cloud, phi, kernel.diagonal, lambda: kernel.entries)
-
-
-def empirical_moments(
-    values: Sequence[float], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample raw and central moments of orders 1..k."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("values must be nonempty")
-    if k < 1:
-        raise ValueError("moment order must be at least 1")
-    raw = np.array([float(np.mean(v**j)) for j in range(1, k + 1)])
-    centered = v - raw[0]
-    central = np.array([float(np.mean(centered**j)) for j in range(1, k + 1)])
-    return raw, central
 
 
 def kernel_error(
@@ -295,32 +280,3 @@ def det_bound_frobenius(
     )
     return lhs_signed, lhs_abs, float(rhs)
 
-
-def bound_report_csv(
-    trials: int,
-    n: int,
-    orders: Sequence[int],
-    rng: SeededRng | np.random.Generator,
-) -> str:
-    """CSV report of both bound checkers over random matrix pairs.
-
-    Each pair is a standard normal ``A`` and ``B = A + 0.3 Z`` with ``Z``
-    standard normal.  One row per (trial, order, bound) with lhs/rhs/ratio
-    columns; the Frobenius rows carry the signed aggregate as lhs and the
-    absolute sum in the extra column.
-    """
-    gen = as_generator(rng)
-    lines = ["trial,r,bound,lhs,rhs,ratio,lhs_abs"]
-    for t in range(trials):
-        A = gen.standard_normal((n, n))
-        B = A + 0.3 * gen.standard_normal((n, n))
-        for r in orders:
-            lhs, rhs = det_bound_max(A, B, r)
-            ratio = lhs / rhs if rhs else 0.0
-            lines.append(f"{t},{r},entrywise,{lhs!r},{rhs!r},{ratio!r},")
-            signed, absolute, rhs_f = det_bound_frobenius(A, B, r)
-            ratio = signed / rhs_f if rhs_f else 0.0
-            lines.append(
-                f"{t},{r},frobenius_signed,{signed!r},{rhs_f!r},{ratio!r},{absolute!r}"
-            )
-    return "\n".join(lines) + "\n"

@@ -82,8 +82,9 @@ def test_m_grid_exceeding_n_rejected(tmp_path):
         ("coreset", "[coreset]\nn = 32\nm_grid = 4, 8, 4\n"),
         ("sphere", "[sphere]\nn = 32\nm_grid = 4, 4\n"),
         ("usvt", "[usvt]\nn_grid = 20, 40, 20\n"),
+        ("checks", "[checks]\nchecks = det_bounds, det_bounds\n"),
     ],
-    ids=["coreset", "sphere", "usvt"],
+    ids=["coreset", "sphere", "usvt", "checks"],
 )
 def test_repeated_grid_entry_rejected(tmp_path, kind, text):
     path = write(tmp_path, "c.cfg", text)
@@ -290,11 +291,24 @@ def test_cli_checks_failure_exit_code(tmp_path):
     assert main(["checks", "--config", cfg, "--out", out, "--quiet"]) == 1
 
 
-def test_cli_empty_checks_exit_zero(tmp_path):
+def test_cli_empty_checks_exit_two(tmp_path):
+    # a self-check run that checks nothing is a config error
     cfg = write(tmp_path, "checks.cfg", "[checks]\nchecks =\nseed = 4\n")
     out = str(tmp_path / "res.csv")
-    assert main(["checks", "--config", cfg, "--out", out, "--quiet"]) == 0
-    assert open(out).read().strip() == CSV_HEADER
+    with pytest.raises(ConfigError, match="checks: must be a nonempty list"):
+        load_config(cfg, "checks")
+    assert main(["checks", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+
+
+def test_config_hash_ignores_output_path(tmp_path):
+    out = str(tmp_path / "x.csv")
+    cfg = write(tmp_path, "a.cfg", f"[checks]\nchecks = det_bounds\nout = {out}\n")
+    flag = write(tmp_path, "b.cfg", "[checks]\nchecks = det_bounds\n")
+    assert main(["checks", "--config", cfg, "--quiet"]) == 0
+    named_in_config = open(out).read()
+    assert main(["checks", "--config", flag, "--out", out, "--quiet"]) == 0
+    assert open(out).read() == named_in_config
 
 
 def test_cli_config_error_exit_two(tmp_path):

@@ -23,13 +23,11 @@ from dpp_limits import (
     harmonic_kernel_family,
     kde_density,
     latent_graph,
-    load_kernel,
     normalized_indicator_profile,
     ope_kernel,
     sample_dpp_many,
     sample_uniform_cube,
     sample_uniform_sphere,
-    save_kernel,
     usvt_kernel,
     usvt_retained_rank,
     validate_kernel,
@@ -230,7 +228,7 @@ def test_kde_translation_invariant():
     cloud = cube(30, 2, seed=13)
     prof = normalized_indicator_profile(2)
     e1 = kde_density(cloud, 0.5, prof, 2)
-    e2 = kde_density(cloud.translated(np.array([3.0, -7.0])), 0.5, prof, 2)
+    e2 = kde_density(PointCloud(cloud.points + np.array([3.0, -7.0])), 0.5, prof, 2)
     assert np.allclose(e1, e2, atol=1e-14)
 
 
@@ -286,7 +284,8 @@ def test_harmonic_aux_trace_equals_rank():
     cloud, h1, h2, prof = _sphere_setup()
     m = 6
     det = harmonic_kernel_details(cloud, m, h1, h2, prof, 2)
-    aux_trace = float((det.omega_weights * det.aux_kernel.diagonal()).sum())
+    # the diagonal of basis @ basis.T
+    aux_trace = float((det.omega_weights * (det.basis**2).sum(axis=1)).sum())
     assert abs(aux_trace - m) <= 1e-6
 
 
@@ -474,14 +473,6 @@ def test_projection_factors_are_orthogonal_with_norm_n():
         assert np.abs(B.T @ B / n - np.eye(m)).max() <= 1e-12
 
 
-def test_harmonic_aux_kernel_is_lazy():
-    cloud, h1, h2, prof = _sphere_setup(n=80)
-    det = harmonic_kernel_details(cloud, 4, h1, h2, prof, 2)
-    assert "aux_kernel" not in vars(det)
-    assert np.array_equal(det.aux_kernel, det.basis @ det.basis.T)
-    assert det.aux_kernel is det.aux_kernel
-
-
 # --- latent_graph ----------------------------------------------------------
 
 
@@ -581,24 +572,6 @@ def test_usvt_parameter_validation():
         usvt_kernel(A, 1.0, 1.5, 1.0)
     with pytest.raises(ValueError):
         usvt_kernel(A, 1.0, 0.5, 0.0)
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def test_kernel_roundtrip(tmp_path):
-    K = gram_kernel(gaussian_kernel(), cube(7, 2, seed=30))
-    path = str(tmp_path / "k.txt")
-    save_kernel(K, path)
-    back = load_kernel(path)
-    assert np.array_equal(back.entries, K.entries)
-
-
-def test_kernel_load_rejects_bad_row(tmp_path):
-    path = tmp_path / "k.txt"
-    path.write_text("n=2\n1.0 0.5\n0.5\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_kernel(str(path))
 
 
 # --- same-arithmetic oracles -----------------------------------------------

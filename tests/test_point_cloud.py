@@ -6,11 +6,8 @@ import pytest
 from dpp_limits import (
     PointCloud,
     SeededRng,
-    load_kernel,
-    load_points,
     sample_uniform_cube,
     sample_uniform_sphere,
-    save_points,
 )
 
 
@@ -79,75 +76,6 @@ def test_substreams_differ():
     b = base.substream(1, 3)
     assert a != b
     assert a == base.substream(1, 2)
-
-
-def test_roundtrip_bit_exact(tmp_path):
-    cloud = sample_uniform_cube(5, 2, SeededRng(13))
-    path = str(tmp_path / "pts.txt")
-    save_points(cloud, path)
-    back = load_points(path)
-    assert back.dim == 2
-    assert np.array_equal(back.points, cloud.points)
-
-
-def test_ragged_rows_rejected(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("d=2\n0.5 0.25\n1.0\n")
-    with pytest.raises(ValueError, match="line 3.*dimension mismatch"):
-        load_points(str(path))
-
-
-def test_header_only_file_is_empty_cloud(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("d=3\n")
-    cloud = load_points(str(path))
-    assert cloud.n == 0
-    assert cloud.dim == 3
-
-
-def test_missing_header_rejected(tmp_path):
-    path = tmp_path / "nohdr.txt"
-    path.write_text("0.5 0.25\n")
-    with pytest.raises(ValueError, match="line 1"):
-        load_points(str(path))
-
-
-def test_unparseable_coordinate_names_line(tmp_path):
-    path = tmp_path / "tok.txt"
-    path.write_text("d=2\n0.5 0.25\n0.1 zzz\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_points(str(path))
-
-
-# points and kernels share one text-matrix reader; its errors name the line
-_LOADERS = {"points": (load_points, "d"), "kernel": (load_kernel, "n")}
-
-
-@pytest.mark.parametrize("fmt", sorted(_LOADERS))
-@pytest.mark.parametrize(
-    "text,match",
-    [
-        ("0.5 0.25\n0.25 0.5\n", "line 1: expected header"),
-        ("{key}=two\n0.5 0.25\n0.25 0.5\n", "line 1: malformed"),
-        ("{key}=-1\n", "line 1: column count must be at least"),
-        ("{key}=2\n0.5 0.25\n1.0\n", "line 3: dimension mismatch"),
-        ("{key}=2\n0.5 0.25\n0.1 zzz\n", "line 3: unparseable entry"),
-    ],
-    ids=["missing-header", "malformed-header", "negative-size", "ragged-row", "bad-entry"],
-)
-def test_text_matrix_loader_errors(tmp_path, fmt, text, match):
-    load, key = _LOADERS[fmt]
-    path = tmp_path / "m.txt"
-    path.write_text(text.format(key=key))
-    with pytest.raises(ValueError, match=match):
-        load(str(path))
-
-
-def test_kernel_load_rejects_row_count(tmp_path):
-    path = tmp_path / "k.txt"
-    path.write_text("n=2\n0.5 0.25\n")
-    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
-        load_kernel(str(path))
 
 
 def test_cloud_rejects_mixed_dimensions():
