@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,7 +85,10 @@ class KernelMatrix:
                 f"kernel asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|K| = "
                 f"{SYMMETRY_RTOL * scale:.3e}"
             )
-        self._entries = _symmetrized(K, buf)
+        np.add(K, K.T, out=buf)  # (K + K^T) / 2, C-ordered
+        buf /= 2.0
+        buf.setflags(write=False)
+        self._entries = buf
 
     @property
     def factor(self) -> np.ndarray | None:
@@ -95,7 +98,10 @@ class KernelMatrix:
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            self._entries = _symmetrized(self._factor @ self._factor.T)
+            # B B^T comes out of BLAS exactly symmetric: one n x n array
+            K = self._factor @ self._factor.T
+            K.setflags(write=False)
+            self._entries = K
         return self._entries
 
     @property
@@ -112,14 +118,6 @@ def _check_finite(A: np.ndarray, what: str) -> None:
     if A.size and not np.isfinite(A).all():
         i, j = np.argwhere(~np.isfinite(A))[0]
         raise ValueError(f"non-finite {what} at ({i}, {j})")
-
-
-def _symmetrized(K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # (K + K^T) / 2 in the C-order array out, or in a new one
-    out = np.add(K, K.T, out=np.empty(K.shape) if out is None else out)
-    out /= 2.0
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -530,9 +528,12 @@ class AdjacencyMatrix:
         A = np.asarray(self.entries, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
-        if not np.array_equal(A, A.T):
+        # both checks on row blocks, so no n x n mask exists beside A; a
+        # block compares its columns from its first row on with their mirror
+        blocks = _row_blocks(A.shape[0])
+        if not all(np.array_equal(A[r, r.start :], A[r.start :, r].T) for r in blocks):
             raise ValueError("adjacency matrix must be symmetric")
-        if A.size and not ((A == 0.0) | (A == 1.0)).all():
+        if not all(((A[r] == 0.0) | (A[r] == 1.0)).all() for r in blocks):
             raise ValueError("adjacency entries must be 0 or 1")
         if A.size and A.diagonal().any():
             raise ValueError("adjacency diagonal must be zero")
@@ -555,20 +556,38 @@ def latent_graph(gram: KernelMatrix, alpha: float, rng: SeededRng) -> AdjacencyM
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     n = gram.n
-    # the strict upper triangle, in row-major order
-    upper = ~np.tri(n, dtype=bool)
-    probs = gram.entries[upper]
-    probs *= alpha
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-        bad = float(probs.min()) if probs.min() < 0 else float(probs.max())
-        raise ValueError(f"edge probability {bad} outside [0, 1]")
+    lo, hi = 0.0, 1.0
+    for _, _, probs in _upper_probabilities(gram.entries, alpha):
+        if probs.size:
+            lo, hi = min(lo, probs.min()), max(hi, probs.max())
+    if lo < 0.0 or hi > 1.0:
+        raise ValueError(f"edge probability {float(lo if lo < 0.0 else hi)} outside [0, 1]")
+    # block by block, the strict upper triangle in row-major order reads the
+    # stream of one draw of n (n - 1) / 2 uniforms
     gen = as_generator(rng)
-    edges = gen.random(probs.shape[0]) < probs
-    del probs  # gone before the n x n array exists
     A = np.zeros((n, n))
-    A[upper] = edges
-    A.T[upper] = edges  # the mirror, in the same array
+    for block, upper, probs in _upper_probabilities(gram.entries, alpha):
+        A[block][upper] = gen.random(probs.shape[0]) < probs
+    for rows in _row_blocks(n):  # the mirror, in the same array
+        A[rows, : rows.start] = A[: rows.start, rows].T
+        tile = A[rows, rows]
+        tile += tile.T
     return AdjacencyMatrix(A)
+
+
+def _upper_probabilities(
+    G: np.ndarray, alpha: float
+) -> Iterator[tuple[tuple[slice, slice], np.ndarray, np.ndarray]]:
+    # per row block: the index of its columns right of the block's first
+    # diagonal entry, the strict-upper mask there, and alpha * G under it
+    n = G.shape[0]
+    cols = np.arange(n)
+    for rows in _row_blocks(n):
+        right = slice(rows.start + 1, n)
+        upper = cols[right] > cols[rows, None]
+        probs = G[rows, right][upper]
+        probs *= alpha
+        yield (rows, right), upper, probs
 
 
 def usvt_kernel(
@@ -581,14 +600,10 @@ def usvt_kernel(
     target diagonal level ``c`` whenever thresholding undershoots it; and a
     final multiplier clips the spectrum into ``[0, n]``.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
+    n = adjacency.n
+    gamma = _usvt_threshold(n, alpha, rho)
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must be in [0, 1]")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    n = adjacency.n
-    gamma = rho * (alpha * n) ** 0.75
     eigvals, eigvecs = np.linalg.eigh(adjacency.entries)
     kept = eigvals >= gamma
     lam = eigvals[kept] / alpha
@@ -609,6 +624,14 @@ def usvt_kernel(
 
 def usvt_retained_rank(adjacency: AdjacencyMatrix, alpha: float, rho: float) -> int:
     """Number of eigenvalues kept by the threshold ``rho * (alpha n)^{3/4}``."""
-    gamma = rho * (alpha * adjacency.n) ** 0.75
+    gamma = _usvt_threshold(adjacency.n, alpha, rho)
     return int((np.linalg.eigvalsh(adjacency.entries) >= gamma).sum())
+
+
+def _usvt_threshold(n: int, alpha: float, rho: float) -> float:
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must be in (0, 1]")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    return rho * (alpha * n) ** 0.75
 

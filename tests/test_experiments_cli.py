@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ def test_run_usvt_builds_one_gram_per_replicate(monkeypatch):
     monkeypatch.setattr(experiments, "gaussian_kernel", counting_kernel)
     run_usvt(UsvtConfig(n_grid=(30, 50), replicates=2, rho=0.15, seed=8))
     assert calls == [30, 30, 50, 50]
+
+
+def test_run_usvt_replicates_hold_no_stale_arrays():
+    # traced peak of two replicates at n = 400, in n x n doubles: the
+    # adjacency matrix, the packed Gram (half) and usvt_kernel's own two
+    # arrays; the previous replicate's Gram, graph and kernel no longer
+    # stay alive through the next one (5.1 before, 3.6 now)
+    n = 400
+    tracemalloc.start()
+    try:
+        run_usvt(UsvtConfig(n_grid=(n,), replicates=2, rho=0.15, seed=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= 4.0
 
 
 def test_run_checks_all_pass():

@@ -574,6 +574,26 @@ def test_usvt_parameter_validation():
         usvt_kernel(A, 1.0, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("alpha, rho", [(0.0, 0.2), (1.5, 0.2), (1.0, 0.0), (1.0, -0.1)])
+def test_usvt_retained_rank_rejects_what_usvt_kernel_rejects(alpha, rho):
+    A = _random_graph(40, 3)
+    with pytest.raises(ValueError) as kernel_err:
+        usvt_kernel(A, alpha, 0.5, rho)
+    with pytest.raises(ValueError) as rank_err:
+        usvt_retained_rank(A, alpha, rho)
+    assert str(rank_err.value) == str(kernel_err.value)
+
+
+@pytest.mark.parametrize("alpha, rho", [(1.0, 0.05), (1.0, 0.2), (0.6, 0.1), (0.3, 0.4)])
+def test_usvt_retained_rank_counts_kept_eigenvalues(alpha, rho):
+    # with c = 0 there is no diagonal shift: K is a positive multiple of
+    # the kept part of A's spectrum, so its rank is the number kept
+    A = _random_graph(60, 5)
+    rank = usvt_retained_rank(A, alpha, rho)
+    assert np.linalg.matrix_rank(usvt_kernel(A, alpha, 0.0, rho).entries) == rank
+    assert rank == int((np.linalg.eigvalsh(A.entries) >= rho * (alpha * 60) ** 0.75).sum())
+
+
 # --- same-arithmetic oracles -----------------------------------------------
 
 # The dense builders' bodies before they held one n x n array at a time.
@@ -660,6 +680,60 @@ def test_dense_builders_match_reference_bits(n):
     assert np.array_equal(details.kernel.entries, _reference_symmetrized(factor @ factor.T))
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("alpha", [1.0, 0.8])
+def test_latent_graph_matches_reference_bits_and_stream(n, alpha):
+    gram = gram_kernel(gaussian_kernel(0.5), cube(n, 2, seed=n, stream=4))
+    gen, ref_gen = SeededRng(n, 5).generator(), SeededRng(n, 5).generator()
+    A = latent_graph(gram, alpha, gen).entries
+    assert np.array_equal(A, _reference_adjacency(gram, alpha, ref_gen))
+    # the blocks read exactly the one draw of n (n - 1) / 2 uniforms
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("low, high", [(-0.3, 0.9), (0.2, 1.6), (-0.3, 1.6)])
+def test_latent_graph_out_of_range_message_matches_reference(low, high):
+    # one pair below 0 or above 1, far from the first row block; the message
+    # names the global minimum when one is negative, else the maximum, and
+    # no uniform is drawn before the check
+    n, alpha = 130, 0.8
+    G = np.full((n, n), 0.5)
+    G[90, 120] = G[120, 90] = low
+    G[100, 110] = G[110, 100] = high
+    gram = KernelMatrix(G)
+    probs = alpha * G[~np.tri(n, dtype=bool)]
+    bad = float(probs.min()) if probs.min() < 0 else float(probs.max())
+    gen = SeededRng(9).generator()
+    with pytest.raises(ValueError) as err:
+        latent_graph(gram, alpha, gen)
+    assert str(err.value) == f"edge probability {bad} outside [0, 1]"
+    assert gen.random() == SeededRng(9).generator().random()
+
+
+def _factor_layouts():
+    B = cube(130, 9, seed=21).points - 0.5
+    wide = cube(130, 20, seed=22).points - 0.5
+    return {
+        "C": B,
+        "F": np.asfortranarray(B),
+        "column slice": wide[:, 3:12],
+        "reversed": B[::-1, ::-1],
+        "strided": wide[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("layout", list(_factor_layouts()))
+def test_factored_entries_match_symmetrized_reference(layout):
+    # the stored factor's B B^T comes out of BLAS exactly symmetric, so the
+    # single product is the symmetrized one bit for bit
+    B = _factor_layouts()[layout]
+    k = KernelMatrix(factor=B)
+    assert np.array_equal(k.factor, B)
+    assert np.array_equal(k.entries, _reference_symmetrized(k.factor @ k.factor.T))
+    assert np.array_equal(k.entries, k.entries.T)
+    assert not k.entries.flags.writeable
+
+
 def test_kernel_matrix_asymmetry_message_matches_reference():
     # negative entries, so max|K| is -K.min()
     K = -gaussian_kernel(0.5).pairwise(*[cube(65, 2, seed=15).points] * 2)
@@ -675,14 +749,17 @@ def test_kernel_matrix_asymmetry_message_matches_reference():
 # --- memory: one n x n array per build -------------------------------------
 
 # traced peaks at n = 1000, in units of n x n doubles; each bound fails for
-# the builders that kept two or three throwaway n x n arrays alive
+# the builders that kept two or three throwaway n x n arrays alive.
+# latent_graph adds a row block's probabilities and uniforms, 64 rows of n
+# doubles each (0.064 apiece at n = 1000), to its adjacency matrix
 _PEAK_BOUNDS = {
     "harmonic_kernel_family": 1.5,
     "kde_density": 1.25,
     "squared_distances": 1.15,
     "KernelMatrix": 1.1,
     "gram_kernel": 2.1,
-    "latent_graph": 1.55,
+    "latent_graph": 1.15,
+    "factored entries": 1.1,
 }
 
 
@@ -691,6 +768,7 @@ def dense_builds():
     cloud, h1, h2, prof = _sphere_setup(n=1000, seed=16)
     gram = gram_kernel(gaussian_kernel(0.5), cloud)
     dense = np.array(gram.entries)
+    factor = ope_kernel(cube(1000, 2, seed=55), 16).factor
     return {
         "harmonic_kernel_family": lambda: harmonic_kernel_family(cloud, (16,), h1, h2, prof, 2),
         "kde_density": lambda: kde_density(cloud, h2, prof, 2),
@@ -698,6 +776,7 @@ def dense_builds():
         "KernelMatrix": lambda: KernelMatrix(dense),
         "gram_kernel": lambda: gram_kernel(gaussian_kernel(0.5), cloud),
         "latent_graph": lambda: latent_graph(gram, 0.8, SeededRng(17)),
+        "factored entries": lambda: KernelMatrix(factor=factor).entries,
     }
 
 
