@@ -55,6 +55,7 @@ from .kernel_builders import (
     normalized_indicator_profile,
     ope_kernel,
     usvt_kernel,
+    _mirror_upper,
 )
 from .point_cloud import sample_uniform_cube, sample_uniform_sphere
 from .rng import SeededRng
@@ -416,18 +417,15 @@ def _usvt_replicate(
     gram = gram_kernel(latent, sample_uniform_cube(n, cfg.d, cloud_rng))
     graph = latent_graph(gram, cfg.alpha, graph_rng)
     # across eigh the Gram is kept as its strict upper triangle and its
-    # diagonal (the mask is made again after); it is exactly symmetric, so
-    # the rebuild below is exact
-    upper = ~np.tri(n, dtype=bool)
-    packed, diag = gram.entries[upper], gram.entries.diagonal().copy()
-    del gram, upper
+    # diagonal; it is exactly symmetric, so the rebuild below is exact
+    packed, diag = gram.entries[~np.tri(n, dtype=bool)], gram.entries.diagonal().copy()
+    del gram
     K = usvt_kernel(graph, cfg.alpha, cfg.c, cfg.rho)
     del graph
-    upper = ~np.tri(n, dtype=bool)
-    E = np.empty((n, n))
-    E[upper] = packed
-    E.T[upper] = packed
-    del upper, packed
+    E = np.zeros((n, n))
+    E[~np.tri(n, dtype=bool)] = packed
+    del packed
+    _mirror_upper(E)
     np.fill_diagonal(E, diag)
     E -= K.entries  # G - K = -(K - G) exactly: the same norm, bit for bit
     return float(np.linalg.norm(E)) / n, abs(float(np.trace(K.entries)) / n - cfg.c)
