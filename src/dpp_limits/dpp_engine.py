@@ -412,18 +412,18 @@ def sample_dpp_many(
     the ``NEGATIVE_PROB_TOL`` check can trip it on one path only.  A block
     whose chain trips a numerical check is drawn again from its rows one
     sample at a time, so the error raised is the one :func:`sample_dpp`
-    raises.  A projection kernel of rank at least ``n / 3`` at ``n > 24`` is
-    drawn one sample at a time on its projector, so its samples are exactly
-    :func:`sample_dpp`'s.  Equal draws within one call are one shared
-    :class:`IndexSample`, which is immutable: the call makes one object per
-    distinct index set.
+    raises.  A call for one draw, and a projection kernel of rank at least
+    ``n / 3`` at ``n > 24``, are drawn one sample at a time as
+    :func:`sample_dpp` draws them, so their samples are exactly its own.
+    Equal draws within one call are one shared :class:`IndexSample`, which
+    is immutable: the call makes one object per distinct index set.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     gen = as_generator(rng)
     n, width = dpp.n, dpp._width
     r = width - n
-    lockstep = not (dpp._is_projection and n > _SMALL_N and _PROJECTOR_DIV * r >= n)
+    lockstep = count > 1 and not (dpp._is_projection and n > _SMALL_N and _PROJECTOR_DIV * r >= n)
     # bytes per draw: its uniform row, W, then d, cum, col and the search mask
     per_draw = 8 * (width + r * r + 4 * n)
     block = max(1, _BLOCK_BYTES // max(per_draw, 1))

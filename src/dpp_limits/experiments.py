@@ -55,7 +55,6 @@ from .kernel_builders import (
     normalized_indicator_profile,
     ope_kernel,
     usvt_kernel,
-    _mirror_upper,
 )
 from .point_cloud import sample_uniform_cube, sample_uniform_sphere
 from .rng import SeededRng
@@ -417,18 +416,16 @@ def _usvt_replicate(
     gram = gram_kernel(latent, sample_uniform_cube(n, cfg.d, cloud_rng))
     graph = latent_graph(gram, cfg.alpha, graph_rng)
     # across eigh the Gram is kept as its strict upper triangle and its
-    # diagonal; it is exactly symmetric, so the rebuild below is exact
+    # diagonal; both matrices are exactly symmetric, so the squared
+    # Frobenius error is twice the upper part's plus the diagonal's
     packed, diag = gram.entries[~np.tri(n, dtype=bool)], gram.entries.diagonal().copy()
     del gram
     K = usvt_kernel(graph, cfg.alpha, cfg.c, cfg.rho)
     del graph
-    E = np.zeros((n, n))
-    E[~np.tri(n, dtype=bool)] = packed
-    del packed
-    _mirror_upper(E)
-    np.fill_diagonal(E, diag)
-    E -= K.entries  # G - K = -(K - G) exactly: the same norm, bit for bit
-    return float(np.linalg.norm(E)) / n, abs(float(np.trace(K.entries)) / n - cfg.c)
+    packed -= K.entries[~np.tri(n, dtype=bool)]
+    diag -= K.entries.diagonal()
+    frob = math.sqrt(2.0 * float(packed @ packed) + float(diag @ diag)) / n
+    return frob, abs(float(np.trace(K.entries)) / n - cfg.c)
 
 
 # ---------------------------------------------------------------------------

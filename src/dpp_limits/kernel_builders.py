@@ -11,8 +11,8 @@ in factored form ``K = B B^T`` with an ``n x m`` factor; the others are dense.
   given as a :class:`ContinuousKernel` of two vectorized callables,
   ``pairwise(X, Y)`` and ``diagonal(X)``;
 * ``ope_kernel`` — orthonormal-polynomial projection kernel (monomials in
-  graded lexical order, Gram-Schmidt under the ``1/n``-weighted inner
-  product);
+  graded lexical order, orthonormalized by Householder QR under the
+  ``1/n``-weighted inner product);
 * ``harmonic_kernel`` — graph-Laplacian surrogate for the first Laplace-
   Beltrami eigenfunctions of an unknown manifold, with density reweighting;
 * ``usvt_kernel`` — denoised estimate recovered from a Bernoulli adjacency
@@ -150,16 +150,6 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
 
 
-def _mirror_upper(A: np.ndarray) -> None:
-    # copy the strict upper triangle of A onto its lower one, in place and on
-    # row blocks (a column-order scatter takes about twice as long); the
-    # lower triangle and the diagonal must be zero on entry
-    for rows in _row_blocks(A.shape[0]):
-        A[rows, : rows.start] = A[: rows.start, rows].T
-        tile = A[rows, rows]
-        tile += tile.T
-
-
 def constant_kernel(value: float = 1.0) -> ContinuousKernel:
     """Kernel identically equal to ``value`` (rank-one when used as a Gram)."""
     return ContinuousKernel(
@@ -242,7 +232,7 @@ def _legendre_tensor_matrix(points: np.ndarray, exponents: np.ndarray) -> np.nda
     row ``j`` of ``exponents``; it expands over monomials of
     componentwise-smaller degree, so the change of basis from the monomial
     columns is unit-triangular in graded lexical order: every prefix spans
-    the same space, and Gram-Schmidt yields the same orthonormal vectors.
+    the same space, and orthonormalization yields the same vectors.
     Unlike raw monomials, the columns stay well conditioned at high degree.
     """
     vander = np.polynomial.legendre.legvander
@@ -253,30 +243,33 @@ def _legendre_tensor_matrix(points: np.ndarray, exponents: np.ndarray) -> np.nda
 
 
 def orthonormalize_columns(M: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt under the inner product ``<u, v> = sum_i w_i u_i v_i``.
+    """Orthonormalize the columns under ``<u, v> = sum_i w_i u_i v_i``.
 
-    Classical Gram-Schmidt run twice per column (one re-orthogonalization
-    pass); a residual norm below ``GS_RTOL`` times the input norm raises with
-    the offending column index.
+    One Householder QR of ``sqrt(w) M``, each column of ``Q`` turned so that
+    ``R_jj > 0`` and divided by ``sqrt(w)``: Gram-Schmidt's output, and
+    prefix-stable.  ``|R_jj|`` is column ``j``'s residual norm; the first at
+    or below ``GS_RTOL`` times the column's weighted norm raises with ``j``.
     """
     n, m = M.shape
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,) or (w <= 0).any():
         raise ValueError("weights must be a positive vector matching the rows")
-    Q = np.empty((n, m))
-    for j in range(m):
-        v = M[:, j].astype(float)
-        norm0 = math.sqrt(float(v @ (w * v)))
-        for _ in range(2):
-            if j:
-                v = v - Q[:, :j] @ (Q[:, :j].T @ (w * v))
-        norm = math.sqrt(max(float(v @ (w * v)), 0.0))
-        if norm <= GS_RTOL * norm0 or norm0 == 0.0:
-            raise ValueError(
-                f"rank deficiency at column {j}: residual norm {norm:.3e} "
-                f"below {GS_RTOL:.0e} of input norm {norm0:.3e}"
-            )
-        Q[:, j] = v / norm
+    root = np.sqrt(w)[:, None]
+    A = root * M
+    Q, R = np.linalg.qr(A)
+    # beyond n columns every residual is 0
+    residual = np.zeros(m)
+    residual[: min(n, m)] = np.abs(R.diagonal())
+    norm0 = np.linalg.norm(A, axis=0)
+    low = np.flatnonzero(residual <= GS_RTOL * norm0)
+    if low.size:
+        j = low[0]
+        raise ValueError(
+            f"rank deficiency at column {j}: residual norm {residual[j]:.3e} "
+            f"below {GS_RTOL:.0e} of input norm {norm0[j]:.3e}"
+        )
+    Q *= np.sign(R.diagonal())
+    Q /= root
     return Q
 
 
@@ -287,12 +280,12 @@ def ope_kernel(cloud: PointCloud, m: int) -> KernelMatrix:
     the ``1/n``-weighted inner product on the cloud; the kernel is
     ``K = sum_i p_i p_i^T``, so ``K/n`` is an orthogonal projection of rank
     ``m`` and ``tr(K)/n = m``.  Evaluation goes through the equivalent
-    tensor-Legendre basis, which spans the same prefix flags but keeps
-    Gram-Schmidt well conditioned at high polynomial degree.
+    tensor-Legendre basis, which spans the same prefix flags but keeps the
+    QR of :func:`orthonormalize_columns` well conditioned at high
+    polynomial degree.
 
-    The kernel is factored by the ``n x m`` matrix of the ``p_i``.
-    Gram-Schmidt is prefix-stable, so its first ``k`` columns are the
-    factor of the rank-``k`` kernel.
+    The kernel is factored by the ``n x m`` matrix of the ``p_i``.  The QR
+    is prefix-stable, so its first ``k`` columns factor the rank-``k`` kernel.
     """
     n = cloud.n
     if not 1 <= m <= n:
@@ -406,18 +399,18 @@ def harmonic_kernel_family(
     eigenvectors, from the top eigenpairs of the similar symmetric matrix
     ``D^-1/2 W D^-1/2`` by block subspace iteration (``_top_eigenpairs``;
     no ``n x n`` eigendecomposition); kernel density estimate at bandwidth
-    ``h2``; Gram-Schmidt under the density-corrected volume weights
+    ``h2``; Householder QR under the density-corrected volume weights
     ``omega = 1 / (n * density)``; and the density-reweighted projection
     kernel.  The rank-``m`` kernel is factored by ``V / sqrt(density)``
     over the first ``m`` columns ``V`` of the basis.
 
-    No rescaling is needed on either side of Gram-Schmidt: it ignores a
-    positive rescale of its input columns, and its output ``V`` satisfies
+    No rescaling is needed on either side of the QR: it ignores a positive
+    rescale of its input columns, and its output ``V`` satisfies
     ``V^T diag(omega) V = I``, so the factor ``B = V / sqrt(density)`` has
     ``B^T B = n I`` and ``K = B B^T`` is ``n`` times an orthogonal
     projection, with every eigenvalue in ``{0, n}`` up to rounding.
-    ``validate_kernel`` still checks that.  Gram-Schmidt is prefix-stable,
-    so the basis is computed once, at the largest rank.
+    ``validate_kernel`` still checks that.  The QR is prefix-stable, so the
+    basis is computed once, at the largest rank.
     """
     if not m_grid:
         return {}
@@ -578,7 +571,12 @@ def latent_graph(gram: KernelMatrix, alpha: float, rng: SeededRng) -> AdjacencyM
     A = np.zeros((n, n))
     for block, upper, probs in _upper_probabilities(gram.entries, alpha):
         A[block][upper] = gen.random(probs.shape[0]) < probs
-    _mirror_upper(A)
+    # mirror the upper triangle onto the zero lower one on row blocks (a
+    # column-order scatter takes about twice as long)
+    for rows in _row_blocks(n):
+        A[rows, : rows.start] = A[: rows.start, rows].T
+        tile = A[rows, rows]
+        tile += tile.T
     return AdjacencyMatrix(A)
 
 
@@ -616,10 +614,9 @@ def usvt_kernel(
     lam = eigvals[kept] / alpha
     V = eigvecs[:, kept]
     del eigvecs
-    # one n x n array from here on; with nothing kept it is the zero matrix
+    # with nothing kept it is the zero matrix; KernelMatrix symmetrizes it,
+    # which leaves the diagonal, and so the trace below, as it is
     K = (V * lam) @ V.T
-    K += K.T
-    K /= 2.0
     correction = max(c - float(np.trace(K)) / n, 0.0)
     lam_max = float(lam.max(initial=0.0)) + correction
     K.flat[:: n + 1] += correction

@@ -181,11 +181,23 @@ def measure_error(
 # ---------------------------------------------------------------------------
 
 
-def _as_square(mat: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    return m
+def _square_pair(
+    A: np.ndarray, B: np.ndarray, r: int, max_n: float = math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    # the bound checkers' inputs: square matrices of one shape with at most
+    # max_n rows, and an order r in [1, n]
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    for name, mat in (("A", A), ("B", B)):
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {mat.shape}")
+    if A.shape != B.shape:
+        raise ValueError("matrices must have equal shape")
+    n = A.shape[0]
+    if n > max_n:
+        raise ValueError(f"exhaustive enumeration limited to n <= {max_n}, got {n}")
+    if not 1 <= r <= n:
+        raise ValueError(f"order r must be in [1, n] = [1, {n}]")
+    return A, B
 
 
 def _subset_array(
@@ -222,14 +234,8 @@ def det_bound_max(
     then 10^4 random ones) and
     ``rhs = r! * sum_j max|A|^{j-1} * max|A-B| * max|B|^{r-j}``.
     """
-    A = _as_square(A, "A")
-    B = _as_square(B, "B")
-    if A.shape != B.shape:
-        raise ValueError("matrices must have equal shape")
-    n = A.shape[0]
-    if not 1 <= r <= n:
-        raise ValueError(f"order r must be in [1, n] = [1, {n}]")
-    subsets = _subset_array(n, r, rng)
+    A, B = _square_pair(A, B, r)
+    subsets = _subset_array(A.shape[0], r, rng)
     lhs = float(np.abs(_batched_subset_dets(A, subsets) - _batched_subset_dets(B, subsets)).max())
     max_a = float(np.abs(A).max())
     max_b = float(np.abs(B).max())
@@ -252,16 +258,9 @@ def det_bound_frobenius(
     ``M = max(||A||_F, ||B||_F, tr A, tr B)``.  Only the signed aggregate is
     guaranteed below ``rhs``; the absolute sum is reported for inspection.
     """
-    A = _as_square(A, "A")
-    B = _as_square(B, "B")
-    if A.shape != B.shape:
-        raise ValueError("matrices must have equal shape")
-    n = A.shape[0]
-    if n > 14:
-        raise ValueError(f"exhaustive enumeration limited to n <= 14, got {n}")
-    if not 1 <= r <= n:
-        raise ValueError(f"order r must be in [1, n] = [1, {n}]")
-    subsets = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp)
+    # C(14, r) <= 3432 stays under SUBSET_ENUM_BUDGET: every subset
+    A, B = _square_pair(A, B, r, max_n=14)
+    subsets = _subset_array(A.shape[0], r, None)
     gaps = _batched_subset_dets(A, subsets) - _batched_subset_dets(B, subsets)
     lhs_signed = abs(float(gaps.sum()))
     lhs_abs = float(np.abs(gaps).sum())

@@ -436,6 +436,33 @@ def test_sample_many_routes_wide_projections(monkeypatch):
         assert (not calls) is routed
 
 
+@pytest.mark.parametrize(
+    "kind,n", [("dense-mixed", 8), ("factored-projection", 30), ("diffuse", 300)]
+)
+def test_sample_many_single_draw_is_sample_dpp(monkeypatch, kind, n):
+    # a call for one draw takes sample_dpp's own route: the lockstep chain
+    # only where sample_dpp takes it too (n > 24 and not a projection)
+    lockstep, calls = dpp_engine._lockstep_chain, []
+
+    def counted(V, u):
+        calls.append(u.shape[0])
+        return lockstep(V, u)
+
+    monkeypatch.setattr(dpp_engine, "_lockstep_chain", counted)
+    dpp = validate_kernel(_batch_kernel(kind, n, seed=n))
+    for seed in range(5):
+        gen, twin = SeededRng(seed).generator(), SeededRng(seed).generator()
+        many = sample_dpp_many(dpp, gen, 1)
+        many_calls = calls.copy()
+        calls.clear()
+        assert many == [sample_dpp(dpp, twin)]
+        assert many_calls == calls
+        assert gen.random() == twin.random()
+        if n <= 24 or dpp.is_projection():
+            assert not calls
+        calls.clear()
+
+
 # one case per spectrum and single-draw route: the pure-Python chain
 # (n <= 24), the lockstep chain at one draw, the empty draw, the cached
 # projector, and a projection that sample_dpp_many also draws on it

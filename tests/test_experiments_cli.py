@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpp_limits import ContinuousKernel, experiments
+from dpp_limits import (
+    ContinuousKernel,
+    SeededRng,
+    experiments,
+    gaussian_kernel,
+    gram_kernel,
+    latent_graph,
+    sample_uniform_cube,
+    usvt_kernel,
+)
 from dpp_limits.cli import main
 from dpp_limits.experiments import (
     CSV_HEADER,
@@ -222,6 +231,20 @@ def test_run_usvt_replicates_hold_no_stale_arrays():
     assert peak / (8.0 * n * n) <= 4.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_usvt_replicate_error_matches_dense_rebuild(n):
+    # the Frobenius error read off the packed Gram equals the dense
+    # ||K - G||_F / n; at n = 1 there is no off-diagonal pair
+    cfg = UsvtConfig(alpha=0.8, rho=0.15)
+    latent = gaussian_kernel(bandwidth=cfg.kernel_scale, amplitude=cfg.c)
+    frob, trace = experiments._usvt_replicate(cfg, latent, n, SeededRng(n, 1), SeededRng(n, 2))
+    gram = gram_kernel(latent, sample_uniform_cube(n, cfg.d, SeededRng(n, 1)))
+    K = usvt_kernel(latent_graph(gram, cfg.alpha, SeededRng(n, 2)), cfg.alpha, cfg.c, cfg.rho)
+    dense = float(np.linalg.norm(K.entries - gram.entries)) / n
+    assert abs(frob - dense) <= 1e-14 * dense
+    assert trace == abs(float(np.trace(K.entries)) / n - cfg.c)
+
+
 def test_run_checks_all_pass():
     table = run_checks(ChecksConfig(seed=2))
     assert all(r.method == "pass" for r in table.rows)
@@ -429,10 +452,10 @@ _PINNED_CONFIGS = {
     "kernel_scale = 1.0\nreplicates = 2\nseed = 20240603\n",
 }
 _PINNED_MD5 = {
-    "coreset": "27e89b3c95bb3a8455f7178199a4e12d",
-    "sphere": "ae39ba0df2853c81df3913bf3a3f15dc",
-    "usvt": "771f7929ce3df68803b609202a88f705",
-    "checks": "936425d5b22bc0f649de4d766e926d4e",
+    "coreset": "1f4a37da7d571512bfa92ed8b6c41b33",
+    "sphere": "ecb0fd1d502e8b23d9d28dc429f22224",
+    "usvt": "e810942d1136d02d59b4fb21897db862",
+    "checks": "937316f58c3002b8f79e32195cdfc97b",
 }
 # the last bits of eigensolvers and GEMMs depend on all four; the sphere
 # and usvt md5s change with 2 BLAS threads

@@ -184,6 +184,85 @@ def test_ope_basis_evaluation_matches_monomial_gram_schmidt():
     assert np.abs(Pm - Pl).max() <= 1e-12
 
 
+def _reference_gram_schmidt(M, weights):
+    # classical Gram-Schmidt under the weighted inner product, run twice
+    # per column: the oracle of the Householder QR
+    n, m = M.shape
+    w = np.asarray(weights, dtype=float)
+    Q = np.empty((n, m))
+    for j in range(m):
+        v = M[:, j].astype(float)
+        norm0 = math.sqrt(float(v @ (w * v)))
+        for _ in range(2):
+            if j:
+                v = v - Q[:, :j] @ (Q[:, :j].T @ (w * v))
+        norm = math.sqrt(max(float(v @ (w * v)), 0.0))
+        if norm <= 1e-10 * norm0 or norm0 == 0.0:
+            raise ValueError(
+                f"rank deficiency at column {j}: residual norm {norm:.3e} "
+                f"below 1e-10 of input norm {norm0:.3e}"
+            )
+        Q[:, j] = v / norm
+    return Q
+
+
+def _harmonic_qr_input(n, top):
+    # the eigenvectors U and weights omega that the harmonic family hands
+    # to orthonormalize_columns
+    cloud, h1, h2, prof = _sphere_setup(n=n)
+    seen = []
+    real = kernel_builders.orthonormalize_columns
+
+    def spy(M, weights):
+        seen.append((M, weights))
+        return real(M, weights)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_builders, "orthonormalize_columns", spy)
+        harmonic_kernel_family(cloud, (top,), h1, h2, prof, 2)
+    return seen[0]
+
+
+_ORTHONORMALIZATION_INPUTS = {
+    "harmonic 300 x 16": lambda: _harmonic_qr_input(300, 16),
+    "legendre 500 x 256": lambda: (
+        kernel_builders._legendre_tensor_matrix(cube(500, 2, seed=47).points, graded_monomials(2, 256)),
+        np.full(500, 1.0 / 500),
+    ),
+    "monomials 60 x 9": lambda: (
+        kernel_builders.monomial_matrix(cube(60, 2, seed=48), graded_monomials(2, 9)),
+        np.full(60, 1.0 / 60),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORTHONORMALIZATION_INPUTS))
+def test_orthonormalize_columns_matches_gram_schmidt(name):
+    M, w = _ORTHONORMALIZATION_INPUTS[name]()
+    Q = kernel_builders.orthonormalize_columns(M, w)
+    assert np.abs(Q - _reference_gram_schmidt(M, w)).max() <= 1e-10
+    assert np.abs(Q.T @ (w[:, None] * Q) - np.eye(M.shape[1])).max() <= 1e-13
+    # each column keeps Gram-Schmidt's orientation: R_jj > 0
+    assert (np.einsum("ij,ij->j", Q, w[:, None] * M) > 0).all()
+
+
+# a zero column, a duplicate, a multiple, and the first column past n rows
+@pytest.mark.parametrize("column", [0, 3, 5, 40])
+def test_orthonormalize_columns_reports_the_dependent_column(column):
+    M = SeededRng(column, 7).generator().standard_normal((40, 8 if column < 40 else 43))
+    if column < 40:
+        M[:, column] = {0: 0.0, 3: M[:, 1], 5: 2.0 * M[:, 2]}[column]
+    w = SeededRng(column, 8).generator().uniform(0.5, 1.5, 40)
+    shape = (
+        rf"rank deficiency at column {column}: residual norm \d\.\d{{3}}e[+-]\d+ "
+        rf"below 1e-10 of input norm \d\.\d{{3}}e[+-]\d+$"
+    )
+    with pytest.raises(ValueError, match=shape):
+        kernel_builders.orthonormalize_columns(M, w)
+    with pytest.raises(ValueError, match=shape):
+        _reference_gram_schmidt(M, w)
+
+
 def test_legendre_tensor_columns_trivariate_oracle():
     # column k is the product of one univariate Legendre polynomial per axis
     from numpy.polynomial import Legendre

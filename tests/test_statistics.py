@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,9 +373,31 @@ def test_det_bound_frobenius_psd_pairs():
 
 
 def test_det_bound_frobenius_rejects_large_n():
+    # the size limit fires before the order check, for a valid and an
+    # invalid r alike; det_bound_max has no such limit
     A = np.zeros((15, 15))
-    with pytest.raises(ValueError, match="n <= 14"):
-        det_bound_frobenius(A, A, 2)
+    for r in (2, 0):
+        with pytest.raises(ValueError, match=r"^exhaustive enumeration limited to n <= 14, got 15$"):
+            det_bound_frobenius(A, A, r)
+    assert det_bound_max(A, A, 2) == (0.0, 0.0)
+
+
+# each case's first failing check names it; the checks fire in this order
+@pytest.mark.parametrize("checker", [det_bound_max, det_bound_frobenius])
+@pytest.mark.parametrize(
+    "a_shape, b_shape, r, message",
+    [
+        ((3, 4), (5, 5), 0, "A must be square, got shape (3, 4)"),
+        ((4,), (4, 4), 1, "A must be square, got shape (4,)"),
+        ((4, 4), (4, 3), 0, "B must be square, got shape (4, 3)"),
+        ((3, 3), (4, 4), 0, "matrices must have equal shape"),
+        ((4, 4), (4, 4), 0, "order r must be in [1, n] = [1, 4]"),
+        ((4, 4), (4, 4), 5, "order r must be in [1, n] = [1, 4]"),
+    ],
+)
+def test_det_bounds_reject_malformed_input(checker, a_shape, b_shape, r, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        checker(np.zeros(a_shape), np.zeros(b_shape), r)
 
 
 def test_constant_kernel_gram_zero_kernel_error():
