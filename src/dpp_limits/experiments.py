@@ -364,10 +364,10 @@ def run_sphere(cfg: SphereConfig) -> ResultTable:
         f_vals = cloud.points[:, 2] ** 2
         with _Phase(f"sphere kernels realization {rr}"):
             family = harmonic_kernel_family(cloud, cfg.m_grid, h1, h2, profile, 2)
-        density = family[max(cfg.m_grid)].density
+        density = family.density
         iid_probs = density / density.sum()
         for mi, m in enumerate(cfg.m_grid):
-            dpp = validate_kernel(family[m].kernel)
+            dpp = validate_kernel(family.kernels[m])
             with _Phase(f"sphere draws m={m} realization {rr}"):
                 samples = sample_dpp_many(dpp, base.substream(2, rr, mi), cfg.draws)
                 draws = np.array([s.indices for s in samples])

@@ -160,8 +160,8 @@ def constant_kernel(value: float = 1.0) -> ContinuousKernel:
 
 def gaussian_kernel(bandwidth: float = 1.0, amplitude: float = 1.0) -> ContinuousKernel:
     """``amplitude * exp(-||x - y||^2 / bandwidth^2)``."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
     b2 = bandwidth * bandwidth
 
     def pairwise(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -321,8 +321,8 @@ def kde_density(
     intrinsic dimension; the radial profile ``l`` must be Riemann integrable
     on compacts (caller-declared).
     """
-    if h2 <= 0:
-        raise ValueError("bandwidth h2 must be positive")
+    if not 0 < h2 < math.inf:
+        raise ValueError("bandwidth h2 must be positive and finite")
     if d_manifold < 1:
         raise ValueError("intrinsic dimension must be at least 1")
     n = cloud.n
@@ -342,21 +342,18 @@ def kde_density(
 
 @dataclass(frozen=True)
 class HarmonicDetails:
-    """Intermediate quantities of the harmonic kernel construction.
+    """One harmonic family build: its kernels and what they share.
 
-    ``kernel`` is factored by ``basis / sqrt(density)`` with no further
-    rescale: ``basis`` is orthonormal under ``omega``, so the factor's
-    columns have squared norm ``n`` and are mutually orthogonal.
+    The basis ``V = B sqrt(density)``, behind the factor ``B``, is
+    orthonormal under ``omega = 1 / (n * density)``.
     """
 
-    kernel: KernelMatrix  # factored by basis / sqrt(density)
-    basis: np.ndarray  # surrogate eigenfunctions v_i, orthonormal under omega
+    kernels: dict[int, KernelMatrix]  # rank -> kernel, factored by B[:, :rank]
     density: np.ndarray  # kernel density estimate at each point
-    omega_weights: np.ndarray  # 1 / (n * density)
     # the smallest max(m_grid) normalized-Laplacian eigenvalues, ascending
     laplacian_eigenvalues: np.ndarray
     ritz_residual: float  # worst ||M u_i - mu_i u_i|| of the top pairs / mu_1
-    subspace_iterations: int  # block subspace iterations, over both widths
+    subspace_iterations: int  # narrow block iterations; 0 if eigh ran at once
 
 
 def harmonic_kernel(
@@ -368,7 +365,7 @@ def harmonic_kernel(
     d_manifold: int,
 ) -> KernelMatrix:
     """Kernel of the discrete harmonic ensemble on an unknown manifold."""
-    return harmonic_kernel_details(cloud, m, h1, h2, profile, d_manifold).kernel
+    return harmonic_kernel_details(cloud, m, h1, h2, profile, d_manifold).kernels[m]
 
 
 def harmonic_kernel_details(
@@ -379,8 +376,8 @@ def harmonic_kernel_details(
     profile: Callable[[np.ndarray], np.ndarray],
     d_manifold: int,
 ) -> HarmonicDetails:
-    """As :func:`harmonic_kernel`, returning construction internals."""
-    return harmonic_kernel_family(cloud, (m,), h1, h2, profile, d_manifold)[m]
+    """As :func:`harmonic_kernel`, returning the family's record for ``(m,)``."""
+    return harmonic_kernel_family(cloud, (m,), h1, h2, profile, d_manifold)
 
 
 def harmonic_kernel_family(
@@ -390,37 +387,36 @@ def harmonic_kernel_family(
     h2: float,
     profile: Callable[[np.ndarray], np.ndarray],
     d_manifold: int,
-) -> dict[int, HarmonicDetails]:
+) -> HarmonicDetails:
     """Harmonic kernels for every rank of ``m_grid``, sharing the spectral work.
 
     Steps: Gaussian-weighted complete graph at bandwidth ``h1``; degree
     double-normalization of the adjacency; normalized Laplacian
     ``(I - D^-1 W) / h1^2``; its ``max(m_grid)`` smallest-eigenvalue
     eigenvectors, from the top eigenpairs of the similar symmetric matrix
-    ``D^-1/2 W D^-1/2`` by block subspace iteration (``_top_eigenpairs``;
-    no ``n x n`` eigendecomposition); kernel density estimate at bandwidth
-    ``h2``; Householder QR under the density-corrected volume weights
-    ``omega = 1 / (n * density)``; and the density-reweighted projection
-    kernel.  The rank-``m`` kernel is factored by ``V / sqrt(density)``
-    over the first ``m`` columns ``V`` of the basis.
+    ``D^-1/2 W D^-1/2`` (``_top_eigenpairs``); kernel density estimate at
+    bandwidth ``h2``; Householder QR under the density-corrected volume
+    weights ``omega = 1 / (n * density)``; and the density-reweighted
+    projection kernels, the rank-``m`` one factored by the first ``m``
+    columns of ``B = V / sqrt(density)``.
 
     No rescaling is needed on either side of the QR: it ignores a positive
     rescale of its input columns, and its output ``V`` satisfies
-    ``V^T diag(omega) V = I``, so the factor ``B = V / sqrt(density)`` has
-    ``B^T B = n I`` and ``K = B B^T`` is ``n`` times an orthogonal
-    projection, with every eigenvalue in ``{0, n}`` up to rounding.
-    ``validate_kernel`` still checks that.  The QR is prefix-stable, so the
-    basis is computed once, at the largest rank.
+    ``V^T diag(omega) V = I``, so ``B`` has ``B^T B = n I`` and each
+    ``K = B B^T`` is ``n`` times an orthogonal projection, with every
+    eigenvalue in ``{0, n}`` up to rounding.  ``validate_kernel`` still
+    checks that.  The QR is prefix-stable, so ``B`` is computed once, at
+    the largest rank.
     """
-    if not m_grid:
-        return {}
     n = cloud.n
     ranks = sorted(set(int(m) for m in m_grid))
+    if not ranks:
+        raise ValueError("m_grid must name at least one rank")
     for m in (ranks[0], ranks[-1]):
         if not 1 <= m <= n:
             raise ValueError(f"m must be in [1, n] = [1, {n}], got {m}")
-    if h1 <= 0 or h2 <= 0:
-        raise ValueError("bandwidths must be positive")
+    if not (0 < h1 < math.inf and 0 < h2 < math.inf):
+        raise ValueError("bandwidths must be positive and finite")
     top = ranks[-1]
 
     # the density first, so that its distance array is gone before W exists
@@ -438,9 +434,7 @@ def harmonic_kernel_family(
     inv_sqrt = 1.0 / np.sqrt(row)
     # M = D^-1/2 W D^-1/2 is similar to D^-1 W, so (I - M) / h1^2 has the
     # spectrum of the normalized Laplacian and M's spectrum lies in [-1, 1]
-    mu, eigvecs, residual, iterations = _top_eigenpairs(
-        lambda X: inv_sqrt[:, None] * (W @ (inv_sqrt[:, None] * X)), n, top
-    )
+    mu, eigvecs, residual, iterations = _top_eigenpairs(W, inv_sqrt, top)
     eigvals = (1.0 - mu) / (h1 * h1)
     if eigvals.min() < -1e-8 * max(1.0, 2.0 / (h1 * h1)):
         raise ArithmeticError(
@@ -457,50 +451,47 @@ def harmonic_kernel_family(
             f"density estimate vanishes at point {int(np.argmin(density))}; "
             "increase h2 or widen the profile"
         )
-    omega = 1.0 / (n * density)
-    V = orthonormalize_columns(U, omega)
-    inv_sqrt_density = (1.0 / np.sqrt(density))[:, None]
-    return {
-        m: HarmonicDetails(
-            kernel=KernelMatrix(factor=V[:, :m] * inv_sqrt_density),
-            basis=V[:, :m],
-            density=density,
-            omega_weights=omega,
-            laplacian_eigenvalues=eigvals,
-            ritz_residual=residual,
-            subspace_iterations=iterations,
-        )
-        for m in ranks
-    }
+    V = orthonormalize_columns(U, 1.0 / (n * density))
+    B = V * (1.0 / np.sqrt(density))[:, None]
+    return HarmonicDetails(
+        kernels={m: KernelMatrix(factor=B[:, :m]) for m in ranks},
+        density=density,
+        laplacian_eigenvalues=eigvals,
+        ritz_residual=residual,
+        subspace_iterations=iterations,
+    )
 
 
 def _top_eigenpairs(
-    apply: Callable[[np.ndarray], np.ndarray], n: int, top: int
+    W: np.ndarray, inv_sqrt: np.ndarray, top: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Top ``top`` eigenpairs of a symmetric ``n x n`` operator, descending.
+    """Top ``top`` eigenpairs of ``M = D^-1/2 W D^-1/2``, descending.
 
-    Block subspace iteration with Rayleigh-Ritz (Halko, Martinsson & Tropp,
-    SIAM Review 2011) from a fixed start block: each iteration
-    orthonormalizes the block ``Y = M X`` to ``Q``, applies ``M`` once more
-    and solves the ``p x p`` eigenproblem of ``Q^T M Q``.  It stops once
-    the worst residual ``||M u_i - mu_i u_i||`` of the top Ritz pairs is at
-    most ``_RITZ_RTOL * mu_1`` and returns the values, the ``n x top``
-    vectors, that residual over ``mu_1`` and the iteration count.  The
-    block has ``p = min(n, top + _SUBSPACE_OVERSAMPLE)`` columns; if that
-    width does not converge in ``_SUBSPACE_MAX_ITERATIONS`` iterations (a
-    small graph bandwidth flattens the spectrum), the same loop runs once
-    more at ``p = n``, where ``Q`` spans the whole space and one iteration
-    is a dense solve.  The count covers both widths; if both fail it
-    raises ``ArithmeticError``.
+    Where the block of ``p = top + _SUBSPACE_OVERSAMPLE`` columns is
+    narrower than ``n``: block subspace iteration with Rayleigh-Ritz
+    (Halko, Martinsson & Tropp, SIAM Review 2011) from a fixed start block,
+    ``M`` applied as ``D^-1/2 (W (D^-1/2 X))``.  Each iteration
+    orthonormalizes ``Y = M X`` to ``Q``, applies ``M`` once more and
+    solves the ``p x p`` eigenproblem of ``Q^T M Q``; it stops once the
+    worst residual ``||M u_i - mu_i u_i||`` of the top pairs is at most
+    ``_RITZ_RTOL * mu_1``.  Where ``p >= n``, or after
+    ``_SUBSPACE_MAX_ITERATIONS`` iterations (a small graph bandwidth
+    flattens the spectrum), ``M`` is formed in ``W``'s buffer, overwriting
+    it, and one dense ``eigh`` gives the pairs, held to the same residual
+    bound: ``ArithmeticError`` names a residual above it.  Returns the
+    values, the ``n x top`` vectors, the residual over ``mu_1`` and the
+    number of block iterations.
     """
-    widths = sorted({min(n, top + _SUBSPACE_OVERSAMPLE), n})
+    n = W.shape[0]
+    p = top + _SUBSPACE_OVERSAMPLE
     iterations = 0
-    for p in widths:
-        Y = apply(_SUBSPACE_START.generator().standard_normal((n, p)))
-        for _ in range(_SUBSPACE_MAX_ITERATIONS):
+    if p < n:
+        col = inv_sqrt[:, None]
+        Y = col * (W @ (col * _SUBSPACE_START.generator().standard_normal((n, p))))
+        while iterations < _SUBSPACE_MAX_ITERATIONS:
             iterations += 1
             Q = np.linalg.qr(Y)[0]
-            Y = apply(Q)
+            Y = col * (W @ (col * Q))
             H = Q.T @ Y
             ritz, G = np.linalg.eigh((H + H.T) / 2.0)
             mu, G = ritz[: -top - 1 : -1], G[:, : -top - 1 : -1]
@@ -508,12 +499,18 @@ def _top_eigenpairs(
             residual = float(np.linalg.norm(Y @ G - U * mu, axis=0).max())
             if residual <= _RITZ_RTOL * mu[0]:
                 return mu, U, residual / mu[0], iterations
-    raise ArithmeticError(
-        f"subspace iteration for the top {top} eigenpairs did not converge in "
-        f"{_SUBSPACE_MAX_ITERATIONS} iterations at block widths "
-        f"{', '.join(map(str, widths))}: worst Ritz residual "
-        f"{residual / mu[0]:.3e} of mu_1, above {_RITZ_RTOL:.0e}"
-    )
+        del Y, Q, U  # the block's n-row arrays, before eigh's two n x n
+    W *= inv_sqrt[:, None]
+    W *= inv_sqrt
+    ritz, U = np.linalg.eigh(W)
+    mu, U = ritz[: -top - 1 : -1], U[:, : -top - 1 : -1].copy()  # frees the n x n
+    residual = float(np.linalg.norm(W @ U - U * mu, axis=0).max())
+    if residual > _RITZ_RTOL * mu[0]:
+        raise ArithmeticError(
+            f"dense eigh after {iterations} subspace iterations: worst Ritz residual "
+            f"{residual / mu[0]:.3e} of mu_1 over the top {top}, above {_RITZ_RTOL:.0e}"
+        )
+    return mu, U, residual / mu[0], iterations
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +632,7 @@ def usvt_retained_rank(adjacency: AdjacencyMatrix, alpha: float, rho: float) -> 
 def _usvt_threshold(n: int, alpha: float, rho: float) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     return rho * (alpha * n) ** 0.75
 

@@ -363,8 +363,11 @@ def test_harmonic_aux_trace_equals_rank():
     cloud, h1, h2, prof = _sphere_setup()
     m = 6
     det = harmonic_kernel_details(cloud, m, h1, h2, prof, 2)
-    # the diagonal of basis @ basis.T
-    aux_trace = float((det.omega_weights * (det.basis**2).sum(axis=1)).sum())
+    # the diagonal of basis @ basis.T, with basis = factor sqrt(density)
+    # orthonormal under omega = 1 / (n density)
+    basis = det.kernels[m].factor * np.sqrt(det.density)[:, None]
+    omega = 1.0 / (cloud.n * det.density)
+    aux_trace = float((omega * (basis**2).sum(axis=1)).sum())
     assert abs(aux_trace - m) <= 1e-6
 
 
@@ -372,13 +375,26 @@ def test_harmonic_family_matches_single_builds():
     cloud, h1, h2, prof = _sphere_setup(n=150)
     fam = harmonic_kernel_family(cloud, [2, 5], h1, h2, prof, 2)
     single = harmonic_kernel(cloud, 2, h1, h2, prof, 2)
-    assert np.allclose(fam[2].kernel.entries, single.entries, atol=1e-10)
+    assert np.allclose(fam.kernels[2].entries, single.entries, atol=1e-10)
+
+
+def test_harmonic_family_rejects_empty_grid():
+    cloud, h1, h2, prof = _sphere_setup(n=50)
+    with pytest.raises(ValueError, match="at least one rank"):
+        harmonic_kernel_family(cloud, (), h1, h2, prof, 2)
 
 
 def test_harmonic_rejects_bad_bandwidths():
     cloud, _, _, prof = _sphere_setup(n=50)
-    with pytest.raises(ValueError):
-        harmonic_kernel(cloud, 3, 0.0, 0.2, prof, 2)
+    for h1, h2 in [(0.0, 0.2), (math.nan, 0.2), (math.inf, 0.2), (0.5, math.nan), (0.5, math.inf)]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            harmonic_kernel(cloud, 3, h1, h2, prof, 2)
+    for h2 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            kde_density(cloud, h2, prof, 2)
+    for bandwidth in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            gaussian_kernel(bandwidth)
     # annulus profile at a tiny bandwidth: no neighbor lands in its support,
     # so the density estimate vanishes and the construction must refuse
     annulus = lambda t: np.where((np.asarray(t) > 0.5) & (np.asarray(t) <= 1.0), 1.0, 0.0)  # noqa: E731
@@ -394,7 +410,7 @@ def test_harmonic_basis_agrees_with_dense_eigh(n, h1, top):
     # keeps prefix spans, so basis[:, :k] spans D^-1/2 times S's first k
     # eigenvectors wherever their gap makes those well determined.  The
     # default bandwidth converges at block width top + 32; h1 = 0.2 flattens
-    # the spectrum past the iteration cap there and needs the full width
+    # the spectrum past the iteration cap there and takes the dense eigh
     cloud, default_h1, h2, prof = _sphere_setup(n=n)
     h1 = default_h1 if h1 is None else h1
     det = harmonic_kernel_details(cloud, top, h1, h2, prof, 2)
@@ -412,7 +428,7 @@ def test_harmonic_basis_agrees_with_dense_eigh(n, h1, top):
     checked = [k for k in range(1, top + 1) if bound[k - 1] <= 1e-8]
     assert len(checked) >= top // 2
     for k in checked:
-        A = np.linalg.qr(det.basis[:, :k])[0]
+        A = np.linalg.qr(det.kernels[top].factor[:, :k] * np.sqrt(det.density)[:, None])[0]
         B = np.linalg.qr(inv_sqrt[:, None] * eigvecs[:, :k])[0]
         assert np.linalg.norm(B - A @ (A.T @ B), 2) <= 1e-6, k
 
@@ -430,29 +446,50 @@ def test_harmonic_partial_eigensolver_structure_determinism_and_cap(monkeypatch)
         first = harmonic_kernel_family(cloud, (4, 16), h1, h2, prof, 2)
     # only the p x p Rayleigh-Ritz problems, p = 16 + 32
     assert shapes and max(max(s) for s in shapes) <= 48
-    assert len(shapes) == first[16].subspace_iterations
+    assert len(shapes) == first.subspace_iterations
     # the start block comes from a private stream, not from any caller's
     np.random.random(1000)
     np.random.default_rng(1).standard_normal(1000)
     second = harmonic_kernel_family(cloud, (4, 16), h1, h2, prof, 2)
     for m in (4, 16):
-        assert first[m].kernel.factor.tobytes() == second[m].kernel.factor.tobytes()
+        assert first.kernels[m].factor.tobytes() == second.kernels[m].factor.tobytes()
 
-    # past the cap at width 16 + 32 the loop reruns at the full width n,
-    # where one iteration is a dense solve of the same eigenpairs
+    # past the cap at width 16 + 32 the same eigenpairs come from one dense
+    # eigh of the n x n M, and no QR is n columns wide
     cloud, h1, h2, prof = _sphere_setup(n=300)
     unpatched = harmonic_kernel_details(cloud, 16, h1, h2, prof, 2)
     assert unpatched.subspace_iterations > 1
     monkeypatch.setattr(kernel_builders, "_SUBSPACE_MAX_ITERATIONS", 1)
-    capped = harmonic_kernel_details(cloud, 16, h1, h2, prof, 2)
-    assert capped.subspace_iterations == 2
+    qr, qr_shapes = np.linalg.qr, []
+
+    def qr_spy(a, *args, **kwargs):
+        qr_shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    shapes.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", spy)
+        patch.setattr(np.linalg, "qr", qr_spy)
+        capped = harmonic_kernel_details(cloud, 16, h1, h2, prof, 2)
+    assert shapes == [(48, 48), (300, 300)]
+    assert qr_shapes == [(300, 48), (300, 16)]  # the block, then the basis
+    assert capped.subspace_iterations == 1
     assert capped.ritz_residual <= 1e-14
-    assert np.abs(capped.kernel.entries - unpatched.kernel.entries).max() <= 1e-10
-    # both widths failing raises, naming the widths and the residual
+    assert np.abs(capped.kernels[16].entries - unpatched.kernels[16].entries).max() <= 1e-10
+    # a block as wide as n goes straight to the dense eigh
+    narrow = _sphere_setup(n=40)
+    shapes.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", spy)
+        dense = harmonic_kernel_details(narrow[0], 16, *narrow[1:], 2)
+    assert shapes == [(40, 40)]
+    assert dense.subspace_iterations == 0
+    assert dense.ritz_residual <= 1e-14
+    # the dense pairs missing the tolerance raises, naming the residual
     monkeypatch.setattr(kernel_builders, "_RITZ_RTOL", 0.0)
     with pytest.raises(
         ArithmeticError,
-        match="did not converge in 1 iterations at block widths 48, 300: worst Ritz residual",
+        match="dense eigh after 1 subspace iterations: worst Ritz residual .* over the top 16",
     ):
         harmonic_kernel(cloud, 16, h1, h2, prof, 2)
 
@@ -464,8 +501,8 @@ def test_harmonic_sign_fix_undoes_eigenvector_signs(monkeypatch):
     before = harmonic_kernel_family(cloud, (3, 12), h1, h2, prof, 2)
     top_eigenpairs, flips = kernel_builders._top_eigenpairs, []
 
-    def flipped(apply, n, top):
-        mu, U, residual, iterations = top_eigenpairs(apply, n, top)
+    def flipped(W, inv_sqrt, top):
+        mu, U, residual, iterations = top_eigenpairs(W, inv_sqrt, top)
         U[:, ::2] *= -1.0
         flips.append(top)
         return mu, U, residual, iterations
@@ -474,7 +511,7 @@ def test_harmonic_sign_fix_undoes_eigenvector_signs(monkeypatch):
     after = harmonic_kernel_family(cloud, (3, 12), h1, h2, prof, 2)
     assert flips == [12]
     for m in (3, 12):
-        assert after[m].kernel.factor.tobytes() == before[m].kernel.factor.tobytes()
+        assert after.kernels[m].factor.tobytes() == before.kernels[m].factor.tobytes()
 
 
 # --- factored projection kernels -------------------------------------------
@@ -546,7 +583,7 @@ def test_projection_factors_are_orthogonal_with_norm_n():
     # 1 / (n density) and its factor is basis / sqrt(density)
     cloud, h1, h2, prof = _sphere_setup(n=300)
     fam = harmonic_kernel_family(cloud, (4, 16), h1, h2, prof, 2)
-    factors = [fam[m].kernel.factor for m in (4, 16)] + [ope_kernel(cube(300, 2, seed=55), 16).factor]
+    factors = [fam.kernels[m].factor for m in (4, 16)] + [ope_kernel(cube(300, 2, seed=55), 16).factor]
     for B in factors:
         n, m = B.shape
         assert np.abs(B.T @ B / n - np.eye(m)).max() <= 1e-12
@@ -653,7 +690,10 @@ def test_usvt_parameter_validation():
         usvt_kernel(A, 1.0, 0.5, 0.0)
 
 
-@pytest.mark.parametrize("alpha, rho", [(0.0, 0.2), (1.5, 0.2), (1.0, 0.0), (1.0, -0.1)])
+@pytest.mark.parametrize(
+    "alpha, rho",
+    [(0.0, 0.2), (1.5, 0.2), (1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf)],
+)
 def test_usvt_retained_rank_rejects_what_usvt_kernel_rejects(alpha, rho):
     A = _random_graph(40, 3)
     with pytest.raises(ValueError) as kernel_err:
@@ -704,9 +744,7 @@ def _reference_harmonic(cloud, top, h1, h2, profile, d_manifold):
     deg = W.sum(axis=1)
     np.divide(W, np.outer(deg, deg), out=W)
     inv_sqrt = 1.0 / np.sqrt(W.sum(axis=1))
-    mu, vecs, _, _ = kernel_builders._top_eigenpairs(
-        lambda X: inv_sqrt[:, None] * (W @ (inv_sqrt[:, None] * X)), n, top
-    )
+    mu, vecs, _, _ = kernel_builders._top_eigenpairs(W, inv_sqrt, top)
     U = inv_sqrt[:, None] * vecs
     peak = U[np.argmax(np.abs(U), axis=0), np.arange(top)]
     U *= np.where(peak < 0, -1.0, 1.0)
@@ -751,12 +789,12 @@ def test_dense_builders_match_reference_bits(n):
     assert np.array_equal(A, _reference_adjacency(gram, 0.8, SeededRng(n, 3)))
     top = min(n, 16)
     prof = normalized_indicator_profile(2)
-    details = harmonic_kernel_family(cloud, (top,), 0.5, 0.6, prof, 2)[top]
+    details = harmonic_kernel_family(cloud, (top,), 0.5, 0.6, prof, 2)
     factor, density, eigvals = _reference_harmonic(cloud, top, 0.5, 0.6, prof, 2)
-    assert np.array_equal(details.kernel.factor, factor)
+    assert np.array_equal(details.kernels[top].factor, factor)
     assert np.array_equal(details.density, density)
     assert np.array_equal(details.laplacian_eigenvalues, eigvals)
-    assert np.array_equal(details.kernel.entries, _reference_symmetrized(factor @ factor.T))
+    assert np.array_equal(details.kernels[top].entries, _reference_symmetrized(factor @ factor.T))
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
@@ -828,11 +866,13 @@ def test_kernel_matrix_asymmetry_message_matches_reference():
 # --- memory: one n x n array per build -------------------------------------
 
 # traced peaks at n = 1000, in units of n x n doubles; each bound fails for
-# the builders that kept two or three throwaway n x n arrays alive.
+# the builders that kept two or three throwaway n x n arrays alive.  The
+# harmonic fallback holds two, W (as M) and eigh's eigenvectors.
 # latent_graph adds a row block's probabilities and uniforms, 64 rows of n
 # doubles each (0.064 apiece at n = 1000), to its adjacency matrix
 _PEAK_BOUNDS = {
     "harmonic_kernel_family": 1.5,
+    "harmonic fallback": 2.5,
     "kde_density": 1.25,
     "squared_distances": 1.15,
     "KernelMatrix": 1.1,
@@ -850,6 +890,7 @@ def dense_builds():
     factor = ope_kernel(cube(1000, 2, seed=55), 16).factor
     return {
         "harmonic_kernel_family": lambda: harmonic_kernel_family(cloud, (16,), h1, h2, prof, 2),
+        "harmonic fallback": lambda: harmonic_kernel_family(cloud, (16,), 0.2, h2, prof, 2),
         "kde_density": lambda: kde_density(cloud, h2, prof, 2),
         "squared_distances": lambda: squared_distances(cloud.points),
         "KernelMatrix": lambda: KernelMatrix(dense),
