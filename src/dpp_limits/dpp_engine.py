@@ -15,7 +15,6 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -54,9 +53,6 @@ class IndexSample:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-_EMPTY = IndexSample(())
 
 
 def _unchecked(idx: tuple[int, ...]) -> IndexSample:
@@ -165,6 +161,18 @@ def validate_kernel(kernel: KernelMatrix) -> ValidatedDpp:
     return ValidatedDpp(kernel, clamped, eigvecs)
 
 
+def _check_clamp(dmin: float | np.ndarray, rank: int, t: int) -> None:
+    # the clamp rule of all three chains: at step t, probabilities
+    # d / (rank - t) in [-NEGATIVE_PROB_TOL, 0) are clamped to 0, and the
+    # first draw with a lower one raises; dmin is each draw's least d
+    low = np.flatnonzero(dmin < -NEGATIVE_PROB_TOL * (rank - t))
+    if low.size:
+        raise ArithmeticError(
+            f"conditional probability {np.ravel(dmin)[low[0]] / (rank - t):.3e} below "
+            f"-{NEGATIVE_PROB_TOL:.0e} at draw step {t}"
+        )
+
+
 def _conditional_chain(projector: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Sample ``rank = u.size`` indices sequentially from a rank-``rank`` projector.
 
@@ -182,12 +190,7 @@ def _conditional_chain(projector: np.ndarray, u: np.ndarray) -> np.ndarray:
     for t in range(rank):
         dmin = np.minimum.reduce(d)
         if dmin < 0.0:
-            # clamp tolerance stated on probabilities p = d / (rank - t)
-            if dmin < -NEGATIVE_PROB_TOL * (rank - t):
-                raise ArithmeticError(
-                    f"conditional probability {dmin / (rank - t):.3e} below "
-                    f"-{NEGATIVE_PROB_TOL:.0e} at draw step {t}"
-                )
+            _check_clamp(dmin, rank, t)
             np.maximum(d, 0.0, out=d)
         np.add.accumulate(d, out=cum)
         total = cum[-1]
@@ -218,11 +221,7 @@ def _chain_small(P: np.ndarray, uniforms: list[float]) -> list[int]:
     for t in range(rank):
         dmin = min(d)
         if dmin < 0.0:
-            if dmin < -NEGATIVE_PROB_TOL * (rank - t):
-                raise ArithmeticError(
-                    f"conditional probability {dmin / (rank - t):.3e} below "
-                    f"-{NEGATIVE_PROB_TOL:.0e} at draw step {t}"
-                )
+            _check_clamp(dmin, rank, t)
             d = [v if v > 0.0 else 0.0 for v in d]
         total = sum(d)
         if total <= 0.0:
@@ -257,13 +256,13 @@ def _chain_small(P: np.ndarray, uniforms: list[float]) -> list[int]:
     return chosen
 
 
-def _draw_once(dpp: ValidatedDpp, u: np.ndarray) -> IndexSample:
-    # one draw from its row of n + r uniforms
+def _draw_once(dpp: ValidatedDpp, u: np.ndarray) -> tuple[int, ...]:
+    # one draw's index tuple, from its row of n + r uniforms
     n = dpp.n
     selected = u[:n] < dpp._q
     rank = int(np.count_nonzero(selected))
     if rank == 0:
-        return _EMPTY
+        return ()
     steps = u[n : n + rank]
     if n <= _SMALL_N:
         # for a projection kernel the selection is q == 1, so this is the
@@ -276,7 +275,7 @@ def _draw_once(dpp: ValidatedDpp, u: np.ndarray) -> IndexSample:
         chosen = _lockstep_chain(dpp._columns(selected), steps[None])[0].tolist()
     if len(set(chosen)) < rank:
         raise ArithmeticError("chain chose an index twice")
-    return _unchecked(tuple(chosen))
+    return tuple(chosen)
 
 
 def sample_dpp(dpp: ValidatedDpp, rng: SeededRng | np.random.Generator) -> IndexSample:
@@ -289,7 +288,7 @@ def sample_dpp(dpp: ValidatedDpp, rng: SeededRng | np.random.Generator) -> Index
     kept eigenvectors; the rest of the row is unused.  Same (seed, stream)
     reproduces the same sample.
     """
-    return _draw_once(dpp, as_generator(rng).random(dpp._width))
+    return _unchecked(_draw_once(dpp, as_generator(rng).random(dpp._width)))
 
 
 def _lockstep_chain(V: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -310,13 +309,7 @@ def _lockstep_chain(V: np.ndarray, u: np.ndarray) -> np.ndarray:
     chosen = np.empty((G, rank), dtype=np.intp)
     for t in range(rank):
         if d.min() < 0.0:
-            dmin = d.min(axis=1)
-            low = np.flatnonzero(dmin < -NEGATIVE_PROB_TOL * (rank - t))
-            if low.size:
-                raise ArithmeticError(
-                    f"conditional probability {dmin[low[0]] / (rank - t):.3e} below "
-                    f"-{NEGATIVE_PROB_TOL:.0e} at draw step {t}"
-                )
+            _check_clamp(d.min(axis=1), rank, t)
             np.maximum(d, 0.0, out=d)
         cum = np.cumsum(d, axis=1)
         total = cum[:, -1]
@@ -356,15 +349,12 @@ class _Interned(dict):
         return self.setdefault(idx, _unchecked(idx))
 
 
-def _draw_block(
-    dpp: ValidatedDpp, u: np.ndarray
-) -> tuple[list[Iterable[tuple[int, ...]]], list[int]]:
-    """The index tuples of the draws whose uniform rows are ``u``.
+def _draw_block(dpp: ValidatedDpp, u: np.ndarray, interned: _Interned) -> list[IndexSample]:
+    """The samples of the draws whose uniform rows are ``u``, in row order.
 
     Row ``i`` of the ``count x (n + r)`` array ``u`` is draw ``i``'s, read
-    as :func:`_draw_once` reads it.  Returns the tuples group by group, and
-    the position of each draw's tuple in that order; each chain's rows are
-    checked strictly increasing.
+    as :func:`_draw_once` reads it.  Each chain's rows are checked strictly
+    increasing before their tuples are looked up in ``interned``.
     """
     n, q = dpp.n, dpp._q
     frac = np.flatnonzero((q > 0.0) & (q < 1.0))
@@ -376,22 +366,20 @@ def _draw_block(
     order = np.lexsort((*packed.T, np.zeros(count, np.uint8)))
     packed = packed[order]
     cuts = np.flatnonzero((packed[1:] != packed[:-1]).any(axis=1)) + 1
-    groups: list[Iterable[tuple[int, ...]]] = []
+    out = [interned[()]] * count  # a group that keeps no eigenvector stays so
     for rows in np.split(order, cuts):
         selected = u[rows[0], :n] < q
-        rank = int(selected.sum())
-        if not rank:
-            groups.append([()] * rows.size)
+        if not selected.any():
             continue
-        chosen = _lockstep_chain(dpp._columns(selected), u[rows, n : n + rank])
+        chosen = _lockstep_chain(dpp._columns(selected), u[rows, n : n + selected.sum()])
         if not (np.diff(chosen, axis=1) > 0).all():
             raise ArithmeticError("lockstep chain chose an index twice")
-        # zip reuses its tuple once the caller's lookup drops it, so a
-        # repeated draw makes no new tuple
-        groups.append(zip(*chosen.T.tolist()))
-    position = np.empty(count, dtype=np.intp)
-    position[order] = np.arange(count)
-    return groups, position.tolist()
+        # zip reuses its tuple once the lookup drops it, so a repeated draw
+        # makes no new tuple
+        samples = map(interned.__getitem__, zip(*chosen.T.tolist()))
+        for i, sample in zip(rows.tolist(), samples):
+            out[i] = sample
+    return out
 
 
 def sample_dpp_many(
@@ -404,12 +392,13 @@ def sample_dpp_many(
     sequential :func:`sample_dpp` calls leave it.  Draws go in blocks of
     equal size, to one draw, held under a fixed byte budget; within a block,
     the draws that selected the same eigenvectors advance through one chain
-    in lockstep.  Their samples equal :func:`sample_dpp`'s up to
-    floating-point rounding: the lockstep chain computes its residuals in
-    another order, which may depend on the makeup of the block and of the
-    group a draw falls in, so a uniform within rounding of a cumulative
-    boundary can pick a neighbouring index, and a residual at the edge of
-    the ``NEGATIVE_PROB_TOL`` check can trip it on one path only.  A block
+    in lockstep, and their samples go straight to their draws' places.  The
+    samples equal :func:`sample_dpp`'s up to floating-point rounding: the
+    lockstep chain computes its residuals in another order, which may
+    depend on the makeup of the block and of the group a draw falls in, so
+    a uniform within rounding of a cumulative boundary can pick a
+    neighbouring index, and a residual at the edge of the
+    ``NEGATIVE_PROB_TOL`` check can trip it on one path only.  A block
     whose chain trips a numerical check is drawn again from its rows one
     sample at a time, so the error raised is the one :func:`sample_dpp`
     raises.  A call for one draw, and a projection kernel of rank at least
@@ -430,20 +419,16 @@ def sample_dpp_many(
     # equal blocks under the budget, so that no small tail runs the chain
     blocks = -(-count // block)
     block = -(-count // blocks) if blocks else 1
-    interned = _Interned({(): _EMPTY})
+    interned = _Interned()
     out: list[IndexSample] = []
     for first in range(0, count, block):
         u = gen.random((min(block, count - first), width))
-        groups = None
         if lockstep:
             with suppress(ArithmeticError):
-                groups, position = _draw_block(dpp, u)
-        if groups is None:
-            groups, position = [[_draw_once(dpp, row).indices for row in u]], range(len(u))
-        ordered: list[IndexSample] = []
-        for tuples in groups:
-            ordered += map(interned.__getitem__, tuples)
-        out += map(ordered.__getitem__, position)
+                out += _draw_block(dpp, u, interned)
+                continue
+        # one draw at a time, also where a lockstep block tripped a check
+        out += map(interned.__getitem__, (_draw_once(dpp, row) for row in u))
     return out
 
 

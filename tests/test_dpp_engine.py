@@ -306,6 +306,14 @@ def test_factored_validation_rejects_like_dense():
             validate_kernel(make())
 
 
+def test_validated_dpp_rejects_eigenvalue_without_eigenvector():
+    # a factored kernel's eigenvectors pair with its top m eigenvalues; the
+    # other n - m must be 0
+    V = np.eye(5)[:, :2]
+    with pytest.raises(ValueError, match="eigenvalues without an eigenvector must be 0"):
+        ValidatedDpp(KernelMatrix(factor=V), np.array([1.0, 0.0, 0.0, 1.0, 1.0]), V)
+
+
 def test_factored_reconstruction_check(monkeypatch):
     real_svd = np.linalg.svd
 
@@ -552,28 +560,33 @@ def test_projector_chain_matches_reference():
             assert np.array_equal(dpp_engine._conditional_chain(P, u), expect), name
 
 
-def _raised(chain, P, u):
+def _raised(chain, *args):
     with pytest.raises(ArithmeticError) as info:
-        chain(P, u)
+        chain(*args)
     return str(info.value)
 
 
 def test_projector_chain_errors_match_reference():
-    # copies of one large column leave rounding noise of both signs, far
-    # below -NEGATIVE_PROB_TOL, after the first step
+    # every chain raises the reference chain's message: the projector chain,
+    # the pure-Python chain on the same projector, and the lockstep chain on
+    # a factor V with V V^T = P.  Copies of one large column leave rounding
+    # noise of both signs, far below -NEGATIVE_PROB_TOL, after the first step
     col = 1e6 * SeededRng(2).generator().standard_normal(40) / math.sqrt(40)
-    V = np.repeat(col[:, None], 3, axis=1)
+    copies = np.repeat(col[:, None], 3, axis=1)
     cases = [
-        ("conditional probability .* below", V @ V.T, np.full(3, 0.5)),
-        ("vanished at draw step 0", np.zeros((5, 5)), np.array([0.5])),
+        ("conditional probability .* below", copies, np.full(3, 0.5)),
+        ("vanished at draw step 0", np.zeros((5, 1)), np.array([0.5])),
         # a uniform of 1 searches past the last cumulative value, and the
         # capped index has no mass left
-        ("selected index 2 has nonpositive", np.diag([1.0, 1.0, 0.0]), np.array([1.0])),
+        ("selected index 2 has nonpositive", np.eye(3)[:, :2], np.array([1.0, 0.5])),
     ]
-    for pattern, P, u in cases:
+    for pattern, V, u in cases:
+        P = V @ V.T
         message = _raised(_reference_chain, P, u)
         assert re.search(pattern, message), message
         assert _raised(dpp_engine._conditional_chain, P, u) == message
+        assert _raised(dpp_engine._chain_small, P, u.tolist()) == message
+        assert _raised(dpp_engine._lockstep_chain, V, u[None]) == message
 
 
 def test_single_draw_rejects_a_repeated_index(monkeypatch):
@@ -679,11 +692,11 @@ def test_sample_many_block_stays_within_budget(monkeypatch):
     draw_block = dpp_engine._draw_block
     sizes, peaks = [], []
 
-    def measured(dpp, u):
+    def measured(dpp, u, interned):
         tracemalloc.start()
         try:
             # the copy puts the block's uniform rows inside the traced peak
-            out = draw_block(dpp, u.copy())
+            out = draw_block(dpp, u.copy(), interned)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -710,9 +723,9 @@ def batch_dpp():
 def test_sample_many_equal_blocks_keep_the_draws(monkeypatch, batch_dpp):
     draw_block, sizes = dpp_engine._draw_block, []
 
-    def recorded(dpp, u):
+    def recorded(dpp, u, interned):
         sizes.append(u.shape[0])
-        return draw_block(dpp, u)
+        return draw_block(dpp, u, interned)
 
     monkeypatch.setattr(dpp_engine, "_draw_block", recorded)
     gen, plain = SeededRng(12).generator(), SeededRng(12).generator()

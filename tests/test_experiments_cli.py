@@ -104,19 +104,35 @@ def test_repeated_grid_entry_rejected(tmp_path, kind, text):
 
 
 @pytest.mark.parametrize(
-    "kind, text, key",
+    "kind, text, message",
     [
-        ("usvt", "[usvt]\nn_grid = 20\nkernel_scale = 0\n", "kernel_scale"),
-        ("usvt", "[usvt]\nn_grid = 20\nkernel_scale = nan\n", "kernel_scale"),
-        ("usvt", "[usvt]\nn_grid = 20\nrho = nan\n", "rho"),
-        ("sphere", "[sphere]\nh1 = nan\n", "h1"),
-        ("sphere", "[sphere]\nh2 = inf\n", "h2"),
+        ("usvt", "[usvt]\nn_grid = 20\nkernel_scale = 0\n", "kernel_scale: must be positive"),
+        ("usvt", "[usvt]\nn_grid = 20\nkernel_scale = nan\n", "kernel_scale: must be finite"),
+        ("usvt", "[usvt]\nn_grid = 20\nrho = nan\n", "rho: must be finite"),
+        ("sphere", "[sphere]\nh1 = nan\n", "h1: must be finite"),
+        ("sphere", "[sphere]\nh2 = inf\n", "h2: must be finite"),
+        ("coreset", "[coreset]\nm_grid = 0, 4\n", "m_grid: entries must be positive ints"),
+        ("coreset", "[coreset]\nquantile = 1.5\n", r"quantile: must be in \(0, 1\)"),
+        ("usvt", "[usvt]\nalpha = 0\n", r"alpha: must be in \(0, 1\]"),
+        ("usvt", "[usvt]\nc = 2\n", r"c: must be in \[0, 1\]"),
+        ("sphere", "[sphere]\nh1 = -1\n", "bandwidths: must be nonnegative"),
     ],
-    ids=["kernel_scale-zero", "kernel_scale-nan", "rho-nan", "h1-nan", "h2-inf"],
+    ids=[
+        "kernel_scale-zero",
+        "kernel_scale-nan",
+        "rho-nan",
+        "h1-nan",
+        "h2-inf",
+        "m_grid-zero",
+        "quantile-above-1",
+        "alpha-zero",
+        "c-above-1",
+        "h1-negative",
+    ],
 )
-def test_nonfinite_or_zero_scale_rejected(tmp_path, kind, text, key):
+def test_nonfinite_or_zero_scale_rejected(tmp_path, kind, text, message):
     path = write(tmp_path, "c.cfg", text)
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=message):
         load_config(path, kind)
     assert main([kind, "--config", path, "--quiet"]) == 2
 

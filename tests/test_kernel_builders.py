@@ -627,10 +627,21 @@ def test_latent_graph_bucket_frequency():
 
 
 def test_adjacency_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
         AdjacencyMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="diagonal must be zero"):
         AdjacencyMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"must be square, got shape \(3, 4\)"):
+        AdjacencyMatrix(np.zeros((3, 4)))
+    # the symmetry check runs on row blocks of 64, 64 and 2 rows at n = 130:
+    # a lone 1 above and below the diagonal, inside the first and second
+    # diagonal tiles, and in the last block
+    assert kernel_builders._ROW_BLOCK == 64
+    for i, j in ((3, 100), (100, 3), (5, 6), (70, 127), (128, 129)):
+        A = np.zeros((130, 130))
+        A[i, j] = 1.0
+        with pytest.raises(ValueError, match="must be symmetric"):
+            AdjacencyMatrix(A)
 
 
 # --- usvt_kernel -----------------------------------------------------------
