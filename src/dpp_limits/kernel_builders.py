@@ -40,6 +40,8 @@ _SUBSPACE_OVERSAMPLE = 32
 _RITZ_RTOL = 1e-14
 _SUBSPACE_MAX_ITERATIONS = 20
 _SUBSPACE_START = SeededRng(0x48415252)
+# block width of the USVT builder's block Krylov search
+_KRYLOV_WIDTH = 8
 # rows per block of the dense builders' row-wise passes beside their n x n array
 _ROW_BLOCK = 64
 
@@ -79,16 +81,34 @@ class KernelMatrix:
         # one n x n buffer: |K - K^T| for the check, then the symmetrized K
         buf = np.subtract(K, K.T, out=np.empty(K.shape))
         scale = max(float(K.max()), -float(K.min())) if K.size else 0.0
-        asym = float(np.abs(buf, out=buf).max()) if K.size else 0.0
-        if asym > SYMMETRY_RTOL * scale:
-            raise ValueError(
-                f"kernel asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|K| = "
-                f"{SYMMETRY_RTOL * scale:.3e}"
-            )
+        _check_symmetry(float(np.abs(buf, out=buf).max()) if K.size else 0.0, scale)
         np.add(K, K.T, out=buf)  # (K + K^T) / 2, C-ordered
         buf /= 2.0
         buf.setflags(write=False)
         self._entries = buf
+
+    @classmethod
+    def _adopt(cls, K: np.ndarray) -> KernelMatrix:
+        # dense kernel of a square, finite, C-ordered array that its builder
+        # hands over, checked and symmetrized in place with the same (a + b) / 2:
+        # row block r pairs its columns from r.start on with their mirror,
+        # which no earlier block has written
+        scale = max(float(K.max()), -float(K.min())) if K.size else 0.0
+        asym = 0.0
+        for r in _row_blocks(K.shape[0]):
+            upper, lower = K[r, r.start :], K[r.start :, r].T
+            buf = np.subtract(upper, lower)
+            asym = max(asym, float(np.abs(buf, out=buf).max()))
+            np.add(upper, lower, out=buf)
+            buf /= 2.0
+            K[r, r.start :] = buf
+            K[r.start :, r] = buf.T
+            del buf  # before the next block's
+        _check_symmetry(asym, scale)
+        K.setflags(write=False)
+        kernel = cls.__new__(cls)
+        kernel._factor, kernel._entries = None, K
+        return kernel
 
     @property
     def factor(self) -> np.ndarray | None:
@@ -114,6 +134,14 @@ class KernelMatrix:
         return np.einsum("ij,ij->i", self._factor, self._factor)
 
 
+def _check_symmetry(asym: float, scale: float) -> None:
+    if asym > SYMMETRY_RTOL * scale:
+        raise ValueError(
+            f"kernel asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|K| = "
+            f"{SYMMETRY_RTOL * scale:.3e}"
+        )
+
+
 def _check_finite(A: np.ndarray, what: str) -> None:
     if A.size and not np.isfinite(A).all():
         i, j = np.argwhere(~np.isfinite(A))[0]
@@ -126,7 +154,9 @@ class ContinuousKernel:
 
     ``pairwise(X, Y)`` returns the matrix ``k(x_i, y_j)`` for two stacked
     point arrays; ``diagonal(X)`` returns the vector ``k(x_i, x_i)``, so a
-    1-point statistic reads no ``n x n`` matrix.
+    1-point statistic reads no ``n x n`` matrix.  ``pairwise`` returns a new
+    array: :func:`gram_kernel` symmetrizes a writeable, C-ordered result in
+    place and keeps it as its kernel's entries.
     """
 
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -179,9 +209,11 @@ def gram_kernel(kernel: ContinuousKernel, cloud: PointCloud) -> KernelMatrix:
     """Restrict a kernel function to the cloud: ``G[i, j] = k(x_i, x_j)``."""
     pts = cloud.points
     G = np.asarray(kernel.pairwise(pts, pts), dtype=float)
-    if G.size and not np.isfinite(G).all():
+    if not all(np.isfinite(G[rows]).all() for rows in _row_blocks(len(G))):
         i, j = np.argwhere(~np.isfinite(G))[0]
         raise ValueError(f"kernel evaluation not finite at point pair ({i}, {j})")
+    if G.shape == (cloud.n, cloud.n) and G.flags.writeable and G.flags.c_contiguous:
+        return KernelMatrix._adopt(G)
     return KernelMatrix(G)
 
 
@@ -474,13 +506,13 @@ def _top_eigenpairs(
     orthonormalizes ``Y = M X`` to ``Q``, applies ``M`` once more and
     solves the ``p x p`` eigenproblem of ``Q^T M Q``; it stops once the
     worst residual ``||M u_i - mu_i u_i||`` of the top pairs is at most
-    ``_RITZ_RTOL * mu_1``.  Where ``p >= n``, or after
-    ``_SUBSPACE_MAX_ITERATIONS`` iterations (a small graph bandwidth
-    flattens the spectrum), ``M`` is formed in ``W``'s buffer, overwriting
-    it, and one dense ``eigh`` gives the pairs, held to the same residual
-    bound: ``ArithmeticError`` names a residual above it.  Returns the
-    values, the ``n x top`` vectors, the residual over ``mu_1`` and the
-    number of block iterations.
+    ``_RITZ_RTOL * mu_1``.  Where ``p >= n``, or once the residual's decay
+    projects past ``_SUBSPACE_MAX_ITERATIONS`` iterations or reaches them
+    (a small graph bandwidth flattens the spectrum), ``M`` is formed in
+    ``W``'s buffer, overwriting it, and one dense ``eigh`` gives the pairs,
+    held to the same residual bound: ``ArithmeticError`` names a residual
+    above it.  Returns the values, the ``n x top`` vectors, the residual
+    over ``mu_1`` and the number of block iterations run.
     """
     n = W.shape[0]
     p = top + _SUBSPACE_OVERSAMPLE
@@ -488,6 +520,7 @@ def _top_eigenpairs(
     if p < n:
         col = inv_sqrt[:, None]
         Y = col * (W @ (col * _SUBSPACE_START.generator().standard_normal((n, p))))
+        history: list[tuple[int, float]] = []
         while iterations < _SUBSPACE_MAX_ITERATIONS:
             iterations += 1
             Q = np.linalg.qr(Y)[0]
@@ -499,6 +532,9 @@ def _top_eigenpairs(
             residual = float(np.linalg.norm(Y @ G - U * mu, axis=0).max())
             if residual <= _RITZ_RTOL * mu[0]:
                 return mu, U, residual / mu[0], iterations
+            history.append((iterations, residual))
+            if _projected_step(history, _RITZ_RTOL * mu[0]) > _SUBSPACE_MAX_ITERATIONS:
+                break
         del Y, Q, U  # the block's n-row arrays, before eigh's two n x n
     W *= inv_sqrt[:, None]
     W *= inv_sqrt
@@ -511,6 +547,20 @@ def _top_eigenpairs(
             f"{residual / mu[0]:.3e} of mu_1 over the top {top}, above {_RITZ_RTOL:.0e}"
         )
     return mu, U, residual / mu[0], iterations
+
+
+def _projected_step(history: list[tuple[int, float]], tol: float) -> float:
+    """Step at which the residual reaches ``tol``, at the faster of its last two decay rates.
+
+    ``history`` holds ``(step, residual)`` checks above ``tol``; with fewer
+    than three the projection is the next step.  Both iterative
+    eigensolvers give up for the dense ``eigh`` once it passes their cap.
+    """
+    if len(history) < 3:
+        return history[-1][0] + 1
+    (s0, r0), (s1, r1), (s2, r2) = history[-3:]
+    rate = max(math.log(r0 / r1) / (s1 - s0), math.log(r1 / r2) / (s2 - s1))
+    return s2 + math.log(r2 / tol) / rate if rate > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -600,27 +650,116 @@ def usvt_kernel(
     Eigenvalues of ``A`` at or above the threshold ``rho * (alpha n)^{3/4}``
     are kept and rescaled by ``1/alpha``; a diagonal shift restores the
     target diagonal level ``c`` whenever thresholding undershoots it; and a
-    final multiplier clips the spectrum into ``[0, n]``.
+    final multiplier clips the spectrum into ``[0, n]``.  The kept pairs
+    come from a certified block Krylov search, or where that gives up,
+    from one dense ``eigh``.
     """
     n = adjacency.n
     gamma = _usvt_threshold(n, alpha, rho)
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must be in [0, 1]")
-    eigvals, eigvecs = np.linalg.eigh(adjacency.entries)
-    kept = eigvals >= gamma
-    lam = eigvals[kept] / alpha
-    V = eigvecs[:, kept]
-    del eigvecs
-    # with nothing kept it is the zero matrix; KernelMatrix symmetrizes it,
-    # which leaves the diagonal, and so the trace below, as it is
-    K = (V * lam) @ V.T
+    found = _pairs_above(adjacency.entries, gamma)
+    if found is None:
+        eigvals, eigvecs = np.linalg.eigh(adjacency.entries)
+        kept = eigvals >= gamma
+        lam = eigvals[kept] / alpha
+        V = eigvecs[:, kept]
+        del eigvecs
+        K = (V * lam) @ V.T
+    else:
+        theta, V, K = found  # K is the certificate's n x n buffer
+        lam = theta / alpha
+        np.matmul(V * lam, V.T, out=K)
+    # with nothing kept it is the zero matrix; symmetrizing leaves the
+    # diagonal, and so the trace below, as it is
     correction = max(c - float(np.trace(K)) / n, 0.0)
     lam_max = float(lam.max(initial=0.0)) + correction
     K.flat[:: n + 1] += correction
     soft_cap = 1.0 / (1.0 + (alpha * n) ** -0.25)
     c_prime = min(n / lam_max, soft_cap) if lam_max > 0 else soft_cap
     K *= c_prime
-    return KernelMatrix(K)
+    return KernelMatrix._adopt(K)
+
+
+def _pairs_above(
+    A: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Eigenpairs of ``A`` at or above ``gamma > 0``, certified, or None.
+
+    Block Krylov (Musco & Musco, NeurIPS 2015) of width ``b`` from the
+    ``_SUBSPACE_START`` block, with Rayleigh-Ritz at the residual's projected
+    step, at most twice as far.  The Ritz pairs at or above ``gamma`` are
+    accepted, orthonormal, once each ``||A u - theta u|| <= _RITZ_RTOL *
+    theta_1``.  A Cholesky of ``C = gamma I - (A - U Theta U^T)`` certifies
+    that none was missed, as ``lambda_{k+1}(A) <= lambda_1(A - U Theta U^T)``
+    (Weyl; ``U Theta U^T`` is positive of rank ``k``).  Returns the values,
+    ascending, the vectors and ``C``'s buffer; None, for the dense ``eigh``,
+    where ``b - 1`` are kept, the basis (with its image half an ``n x n``
+    array) reaches ``n / 4`` columns or is projected past them, or the
+    Cholesky fails.
+    """
+    n, b = A.shape[0], _KRYLOV_WIDTH
+    cap = n // (4 * b)  # steps
+    if cap < 2 * b:
+        return None
+    Q, AQ, H = np.empty((n, cap * b)), np.empty((n, cap * b)), np.empty((cap * b, cap * b))
+    Q[:, :b] = np.linalg.qr(_SUBSPACE_START.generator().standard_normal((n, b)))[0]
+    history: list[tuple[int, float]] = []
+    check, count = 1, 0
+    for step in range(1, cap + 1):
+        m = step * b
+        if step > 1:
+            Y = AQ[:, m - 2 * b : m - b] - Q[:, : m - b] @ H[: m - b, m - 2 * b : m - b]
+            Y -= Q[:, : m - b] @ (Q[:, : m - b].T @ Y)
+            Q[:, m - b : m] = np.linalg.qr(Y)[0]
+        AQ[:, m - b : m] = A @ Q[:, m - b : m]
+        H[:m, m - b : m] = Q[:, :m].T @ AQ[:, m - b : m]
+        if step < check:
+            continue
+        theta, S = np.linalg.eigh(H[:m, :m], UPLO="U")
+        kept = theta >= gamma
+        if kept.sum() != count:
+            history, count = [], int(kept.sum())
+        if count >= b - 1:
+            return None
+        if not count:
+            check = 2 * step
+            continue
+        theta, S = theta[kept], S[:, kept]
+        U = Q[:, :m] @ S
+        residual = float(np.linalg.norm(AQ[:, :m] @ S - U * theta, axis=0).max())
+        if residual <= _RITZ_RTOL * theta[-1]:
+            if np.abs(U.T @ U - np.eye(count)).max() > GS_RTOL:
+                return None
+            break
+        history.append((step, residual))
+        projected = _projected_step(history, _RITZ_RTOL * theta[-1])
+        if projected > cap:
+            return None
+        check = min(2 * step, math.ceil(projected))
+    else:
+        return None
+    del Q, AQ, H  # before the n x n certificate
+    C = (U * theta) @ U.T
+    C -= A
+    C.flat[:: n + 1] += gamma
+    return (theta, U, C) if _cholesky_succeeds(C) else None
+
+
+def _cholesky_succeeds(C: np.ndarray) -> bool:
+    # Cholesky of C's lower triangle, left-looking on 64 x 64 tiles in place,
+    # so that no second n x n array exists
+    blocks = _row_blocks(C.shape[0])
+    for i, r in enumerate(blocks):
+        for c in blocks[:i]:
+            C[r, c] -= C[r, : c.start] @ C[c, : c.start].T
+            C[r, c] = np.linalg.solve(C[c, c], C[r, c].T).T
+        C[r, r] -= C[r, : r.start] @ C[r, : r.start].T
+        try:
+            C[r, r] = np.linalg.cholesky(C[r, r])
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def usvt_retained_rank(adjacency: AdjacencyMatrix, alpha: float, rho: float) -> int:

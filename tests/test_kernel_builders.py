@@ -514,6 +514,36 @@ def test_harmonic_sign_fix_undoes_eigenvector_signs(monkeypatch):
         assert after.kernels[m].factor.tobytes() == before.kernels[m].factor.tobytes()
 
 
+@pytest.mark.parametrize(
+    "history, step",
+    [
+        ([(3, 1e-2)], 4),
+        ([(3, 1e-2), (4, 1e-3)], 5),
+        ([(2, 1e-2), (3, 1e-3), (5, 1e-4)], 15.0),  # the rate of steps 2 to 3
+        ([(1, 1e-2), (3, 1e-3), (4, 1e-4)], 14.0),  # the rate of steps 3 to 4
+        ([(2, 1e-3), (3, 1e-3), (4, 1e-4)], 14.0),
+        ([(2, 1e-3), (3, 1e-3), (4, 1e-3)], math.inf),  # a residual that does not fall
+    ],
+)
+def test_projected_step_at_the_faster_of_the_last_two_decay_rates(history, step):
+    assert kernel_builders._projected_step(history, 1e-14) == pytest.approx(step)
+
+
+def test_harmonic_stall_gives_up_early_on_the_same_dense_eigh(monkeypatch):
+    # at h1 = 0.2 the residual's decay projects past the cap of 20 after a
+    # few iterations; the dense eigh that follows is the one the cap reached
+    # before, so every factor is the same bit for bit
+    cloud, _, h2, prof = _sphere_setup(n=400, seed=16)
+    early = harmonic_kernel_family(cloud, (4, 16), 0.2, h2, prof, 2)
+    monkeypatch.setattr(kernel_builders, "_projected_step", lambda history, tol: 0)
+    capped = harmonic_kernel_family(cloud, (4, 16), 0.2, h2, prof, 2)
+    assert 1 < early.subspace_iterations < 5
+    assert capped.subspace_iterations == 20
+    assert early.ritz_residual == capped.ritz_residual <= 1e-14
+    for m in (4, 16):
+        assert np.array_equal(early.kernels[m].factor, capped.kernels[m].factor)
+
+
 # --- factored projection kernels -------------------------------------------
 
 
@@ -724,6 +754,126 @@ def test_usvt_retained_rank_counts_kept_eigenvalues(alpha, rho):
     assert rank == int((np.linalg.eigvalsh(A.entries) >= rho * (alpha * 60) ** 0.75).sum())
 
 
+# --- usvt_kernel: block Krylov pairs, certificate and dense fallback --------
+
+# At n = 1600 and rho = 0.15 the six kept eigenvalues (44-47) clear the next
+# (31-32) by a wide gap, and the block path runs.  Small gaps and kept
+# eigenvalues of high multiplicity give up for the dense eigh.
+
+
+def _dense_usvt(*args):
+    # the same call on the dense path: the block search gives up at once
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_builders, "_pairs_above", lambda A, gamma: None)
+        return usvt_kernel(*args)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def graph_1600():
+    A = _random_graph(1600, 7)
+    dense_peak = _traced_peak(lambda: _dense_usvt(A, 1.0, 0.6, 0.15))
+    return A, _dense_usvt(A, 1.0, 0.6, 0.15).entries, dense_peak
+
+
+def _eigh_sizes(patch):
+    sizes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    patch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def test_usvt_block_path_keeps_the_dense_count_and_kernel(monkeypatch, graph_1600):
+    A, dense, _ = graph_1600
+    gamma = 0.15 * 1600**0.75
+    sizes = _eigh_sizes(monkeypatch)
+    theta, V, _ = kernel_builders._pairs_above(A.entries, gamma)
+    K = usvt_kernel(A, 1.0, 0.6, 0.15).entries
+    assert sizes and max(sizes) < 1600  # only the Rayleigh-Ritz problems
+    assert len(theta) == usvt_retained_rank(A, 1.0, 0.15) == 6
+    assert (theta >= gamma).all()
+    assert np.abs(V.T @ V - np.eye(6)).max() <= 1e-12
+    assert np.linalg.norm(K - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert np.array_equal(K, K.T)
+
+
+def test_usvt_block_path_traced_peak_at_most_the_dense_path(graph_1600):
+    A, _, dense_peak = graph_1600
+    assert _traced_peak(lambda: usvt_kernel(A, 1.0, 0.6, 0.15)) <= dense_peak
+
+
+def _cliques(count, size):
+    return AdjacencyMatrix(np.kron(np.eye(count), np.ones((size, size)) - np.eye(size)))
+
+
+@pytest.mark.parametrize("case", ["rho 0.12", "12 cliques"])
+def test_usvt_small_gap_or_high_multiplicity_keeps_the_dense_bits(monkeypatch, graph_1600, case):
+    # rho = 0.12 keeps a dozen eigenvalues, the last a few tenths above the
+    # next; 12 disjoint 50-cliques keep the eigenvalue 49 twelve times, more
+    # than the block's 8 columns hold.  Both give up after a few Rayleigh-Ritz
+    # checks, and the dense eigh gives the bits it gave before
+    if case == "rho 0.12":
+        args = (graph_1600[0], 1.0, 0.6, 0.12)
+    else:
+        args = (_cliques(12, 50), 1.0, 0.6, 0.15)
+    n = args[0].n
+    dense = _dense_usvt(*args).entries
+    sizes = _eigh_sizes(monkeypatch)
+    K = usvt_kernel(*args).entries
+    assert min(sizes) < n and sizes[-1] == n  # Rayleigh-Ritz, then the dense eigh
+    assert np.array_equal(K, dense)
+
+
+def test_usvt_start_block_missing_a_kept_eigenvector_never_keeps_fewer(monkeypatch, graph_1600):
+    # a start block orthogonal to a kept eigenvector: rounding may bring the
+    # top one back, and then the full set is found; without the smallest
+    # kept one the certificate fails and the dense eigh runs
+    A, dense, _ = graph_1600
+    gamma = 0.15 * 1600**0.75
+    eigvals, eigvecs = np.linalg.eigh(A.entries)
+    kept = int((eigvals >= gamma).sum())
+    start, certified = kernel_builders._SUBSPACE_START, []
+
+    class Orthogonal:
+        def __init__(self, v):
+            self.v = v
+
+        def generator(self):
+            return self
+
+        def standard_normal(self, shape):
+            G = start.generator().standard_normal(shape)
+            return G - np.outer(self.v, self.v @ G)
+
+    cholesky = kernel_builders._cholesky_succeeds
+
+    def certify(C):
+        certified.append(cholesky(C))
+        return certified[-1]
+
+    monkeypatch.setattr(kernel_builders, "_cholesky_succeeds", certify)
+    for j in (-1, -kept):
+        monkeypatch.setattr(kernel_builders, "_SUBSPACE_START", Orthogonal(eigvecs[:, j]))
+        found = kernel_builders._pairs_above(A.entries, gamma)
+        assert found is None or len(found[0]) == kept
+    assert certified[-1] is False  # the certificate catches the missing pair
+    sizes = _eigh_sizes(monkeypatch)
+    assert np.array_equal(usvt_kernel(A, 1.0, 0.6, 0.15).entries, dense)
+    assert sizes[-1] == 1600
+
+
 # --- same-arithmetic oracles -----------------------------------------------
 
 # The dense builders' bodies before they held one n x n array at a time.
@@ -795,7 +945,9 @@ def test_dense_builders_match_reference_bits(n):
     K = gaussian_kernel(0.5).pairwise(x, x)
     K += 1e-14 * SeededRng(n, 2).generator().standard_normal((n, n))
     assert np.array_equal(KernelMatrix(K).entries, _reference_symmetrized(K))
+    assert np.array_equal(KernelMatrix._adopt(K.copy()).entries, _reference_symmetrized(K))
     gram = gram_kernel(gaussian_kernel(0.5), cloud)
+    assert np.array_equal(gram.entries, _reference_symmetrized(gaussian_kernel(0.5).pairwise(x, x)))
     A = latent_graph(gram, 0.8, SeededRng(n, 3)).entries
     assert np.array_equal(A, _reference_adjacency(gram, 0.8, SeededRng(n, 3)))
     top = min(n, 16)
@@ -867,11 +1019,30 @@ def test_kernel_matrix_asymmetry_message_matches_reference():
     K = -gaussian_kernel(0.5).pairwise(*[cube(65, 2, seed=15).points] * 2)
     K[3, 40] += 1e-6
     scale, asym = float(np.abs(K).max()), float(np.abs(K - K.T).max())
-    with pytest.raises(ValueError) as err:
-        KernelMatrix(K)
-    assert str(err.value) == (
-        f"kernel asymmetry {asym:.3e} exceeds 1e-10 * max|K| = {1e-10 * scale:.3e}"
-    )
+    for build in (KernelMatrix, lambda K: KernelMatrix._adopt(K.copy())):
+        with pytest.raises(ValueError) as err:
+            build(K)
+        assert str(err.value) == (
+            f"kernel asymmetry {asym:.3e} exceeds 1e-10 * max|K| = {1e-10 * scale:.3e}"
+        )
+
+
+@pytest.mark.parametrize("layout", ["read-only", "F"])
+def test_gram_copies_an_array_it_cannot_own(layout):
+    # gram_kernel symmetrizes a writeable C-ordered result of pairwise in
+    # place; any other result is copied and left as it was
+    cloud = cube(70, 2, seed=16)
+    held = gaussian_kernel(0.5).pairwise(cloud.points, cloud.points)
+    held[3, 40] += 1e-14
+    if layout == "F":
+        held = np.asfortranarray(held)
+    else:
+        held.setflags(write=False)
+    before = held.copy()
+    kernel = ContinuousKernel(pairwise=lambda X, Y: held, diagonal=lambda X: np.ones(len(X)))
+    G = gram_kernel(kernel, cloud)
+    assert np.array_equal(held, before)
+    assert np.array_equal(G.entries, _reference_symmetrized(before))
 
 
 # --- memory: one n x n array per build -------------------------------------
@@ -880,16 +1051,20 @@ def test_kernel_matrix_asymmetry_message_matches_reference():
 # the builders that kept two or three throwaway n x n arrays alive.  The
 # harmonic fallback holds two, W (as M) and eigh's eigenvectors.
 # latent_graph adds a row block's probabilities and uniforms, 64 rows of n
-# doubles each (0.064 apiece at n = 1000), to its adjacency matrix
+# doubles each (0.064 apiece at n = 1000), to its adjacency matrix, and
+# symmetrizing adds one such block.  gram_kernel and usvt_kernel (its dense
+# path at n = 1000, after the block search gives up) held two n x n arrays
+# before they symmetrized their own in place (2.01 and 2.02; 1.08 now)
 _PEAK_BOUNDS = {
     "harmonic_kernel_family": 1.5,
     "harmonic fallback": 2.5,
     "kde_density": 1.25,
     "squared_distances": 1.15,
     "KernelMatrix": 1.1,
-    "gram_kernel": 2.1,
+    "gram_kernel": 1.15,
     "latent_graph": 1.15,
     "factored entries": 1.1,
+    "usvt_kernel": 1.15,
 }
 
 
@@ -899,6 +1074,7 @@ def dense_builds():
     gram = gram_kernel(gaussian_kernel(0.5), cloud)
     dense = np.array(gram.entries)
     factor = ope_kernel(cube(1000, 2, seed=55), 16).factor
+    graph = _random_graph(1000, 7)
     return {
         "harmonic_kernel_family": lambda: harmonic_kernel_family(cloud, (16,), h1, h2, prof, 2),
         "harmonic fallback": lambda: harmonic_kernel_family(cloud, (16,), 0.2, h2, prof, 2),
@@ -908,6 +1084,7 @@ def dense_builds():
         "gram_kernel": lambda: gram_kernel(gaussian_kernel(0.5), cloud),
         "latent_graph": lambda: latent_graph(gram, 0.8, SeededRng(17)),
         "factored entries": lambda: KernelMatrix(factor=factor).entries,
+        "usvt_kernel": lambda: usvt_kernel(graph, 1.0, 0.6, 0.15),
     }
 
 
