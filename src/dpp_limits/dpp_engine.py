@@ -29,8 +29,10 @@ PROJECTION_SNAP = 1e-9
 # anything lower is a hard numerical failure
 NEGATIVE_PROB_TOL = 1e-12
 # working-set cap of one block of sample_dpp_many: its uniform rows and the
-# lockstep chain's W, d, cum and col arrays
+# lockstep chain's W and padded rows (see sample_dpp_many)
 _BLOCK_BYTES = 1 << 24
+# columns per block of the lockstep chain's two-level search (see _search)
+_SEARCH_BLOCK = 64
 # single draws up to this size run the pure-Python chain
 _SMALL_N = 24
 # sample_dpp_many draws a projection of rank r >= n / _PROJECTOR_DIV at
@@ -291,6 +293,27 @@ def sample_dpp(dpp: ValidatedDpp, rng: SeededRng | np.random.Generator) -> Index
     return _unchecked(_draw_once(dpp, as_generator(rng).random(dpp._width)))
 
 
+def _padded(n: int) -> int:
+    return n if n <= _SEARCH_BLOCK else -(-n // _SEARCH_BLOCK) * _SEARCH_BLOCK
+
+
+def _search(d: np.ndarray, u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # per row, searchsorted(cumsum(d[g]), u[g] * total, "right") capped at n - 1, and total.
+    # One prefix up to 64² entries (cheaper than the numpy calls of two levels); past that, block
+    # sums pick the block and a prefix over it the index, on positive mass where they round apart
+    if d.shape[1] <= _SEARCH_BLOCK or d.size <= _SEARCH_BLOCK**2:
+        cum = np.add.accumulate(d[:, :n], axis=1)
+        return np.add.reduce(cum[:, :-1] <= (u * cum[:, -1])[:, None], axis=1), cum[:, -1]
+    rows, blocks = np.arange(len(d)), d.reshape(len(d), -1, _SEARCH_BLOCK)
+    S = np.add.accumulate(np.einsum("gkb->gk", blocks), axis=1)
+    total, target = S[:, -1], u * S[:, -1]
+    k = np.add.reduce(S[:, :-1] <= target[:, None], axis=1)
+    cum = np.add.accumulate(blocks[rows, k], axis=1)
+    rest = np.minimum(target - S[rows, k - 1] * (k > 0), np.nextafter(cum[:, -1], 0.0))
+    j = k * _SEARCH_BLOCK + np.add.reduce(cum[:, :-1] <= rest[:, None], axis=1)
+    return np.where(target < total, j, n - 1), total
+
+
 def _lockstep_chain(V: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Sequential conditioning for a batch of draws from the projection ``V V^T``.
 
@@ -304,21 +327,18 @@ def _lockstep_chain(V: np.ndarray, u: np.ndarray) -> np.ndarray:
     n, rank = V.shape
     G = u.shape[0]
     rows = np.arange(G)
-    d = np.repeat(np.einsum("ij,ij->i", V, V)[None, :], G, axis=0)
+    # residual rows and the step's product, zero-padded to whole search blocks
+    d, col = np.zeros((G, _padded(n))), np.zeros((G, _padded(n)))
+    d[:, :n] = np.einsum("ij,ij->i", V, V)
     W = np.empty((G, rank, rank))
     chosen = np.empty((G, rank), dtype=np.intp)
     for t in range(rank):
         if d.min() < 0.0:
             _check_clamp(d.min(axis=1), rank, t)
             np.maximum(d, 0.0, out=d)
-        cum = np.cumsum(d, axis=1)
-        total = cum[:, -1]
+        j, total = _search(d, u[:, t], n)
         if total.min() <= 0.0:
             raise ArithmeticError(f"conditional probabilities vanished at draw step {t}")
-        # searchsorted(cum, u * total, side="right") per row, as cum is
-        # nondecreasing; counting over the first n - 1 entries applies
-        # j = min(j, n - 1)
-        j = np.count_nonzero(cum[:, :-1] <= (u[:, t] * total)[:, None], axis=1)
         piv = d[rows, j]
         if piv.min() <= 0.0:
             bad = j[np.flatnonzero(piv <= 0.0)[0]]
@@ -329,7 +349,7 @@ def _lockstep_chain(V: np.ndarray, u: np.ndarray) -> np.ndarray:
             w -= np.matmul(np.matmul(prev, w[:, :, None]).transpose(0, 2, 1), prev)[:, 0]
         w /= np.sqrt(piv)[:, None]
         W[:, t] = w
-        col = w @ V.T
+        np.matmul(w, V.T, out=col[:, :n])
         col *= col
         d -= col
         chosen[:, t] = j
@@ -394,9 +414,9 @@ def sample_dpp_many(
     the draws that selected the same eigenvectors advance through one chain
     in lockstep, and their samples go straight to their draws' places.  The
     samples equal :func:`sample_dpp`'s up to floating-point rounding: the
-    lockstep chain computes its residuals in another order, which may
-    depend on the makeup of the block and of the group a draw falls in, so
-    a uniform within rounding of a cumulative boundary can pick a
+    lockstep chain computes and sums its residuals in another order, which
+    may depend on the makeup of the block and of the group a draw falls in,
+    so a uniform within rounding of a cumulative boundary can pick a
     neighbouring index, and a residual at the edge of the
     ``NEGATIVE_PROB_TOL`` check can trip it on one path only.  A block
     whose chain trips a numerical check is drawn again from its rows one
@@ -413,8 +433,8 @@ def sample_dpp_many(
     n, width = dpp.n, dpp._width
     r = width - n
     lockstep = count > 1 and not (dpp._is_projection and n > _SMALL_N and _PROJECTOR_DIV * r >= n)
-    # bytes per draw: its uniform row, W, then d, cum, col and the search mask
-    per_draw = 8 * (width + r * r + 4 * n)
+    # bytes per draw: its uniform row, W, and four padded rows: d, col and the step's temporaries
+    per_draw = 8 * (width + r * r + 4 * _padded(n))
     block = max(1, _BLOCK_BYTES // max(per_draw, 1))
     # equal blocks under the budget, so that no small tail runs the chain
     blocks = -(-count // block)

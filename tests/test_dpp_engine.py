@@ -597,6 +597,72 @@ def test_single_draw_rejects_a_repeated_index(monkeypatch):
         sample_dpp(dpp, SeededRng(0))
 
 
+def _search_rows(n, seed):
+    # residual rows as the lockstep chain holds them, zero-padded to its
+    # width: generic masses, chosen indices at exact zeros, a whole zero
+    # search block, one lone mass, and masses of very different sizes
+    gen = SeededRng(seed).generator()
+    rows = gen.random((5, n))
+    rows[0, gen.choice(n, size=n // 3, replace=False)] = 0.0
+    rows[1, : min(n, dpp_engine._SEARCH_BLOCK)] = 0.0
+    rows[1, -1] = 1.0
+    rows[2] = 0.0
+    rows[2, gen.integers(n)] = 0.5
+    rows[3] *= 10.0 ** gen.integers(-12, 3, n)
+    rows[4, 1::2] = 0.0
+    d = np.zeros((rows.shape[0], dpp_engine._padded(n)))
+    d[:, :n] = rows
+    return d
+
+
+def _search_targets(row, n):
+    # uniforms whose targets fall at, just before and just past each search
+    # block edge and each of the first 64 cumulative values, plus both ends
+    cum = np.cumsum(row[:n])
+    edges = np.append(cum[dpp_engine._SEARCH_BLOCK - 1 :: dpp_engine._SEARCH_BLOCK], cum[:64])
+    at = edges / cum[-1]
+    return np.concatenate(
+        [at, np.nextafter(at, 0.0), np.nextafter(at, 2.0), [0.0, np.nextafter(1.0, 0.0), 1.0]]
+    ).clip(0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 1000])
+def test_search_matches_one_level_rule(n):
+    # the search picks searchsorted(cumsum(d), u * total, "right") capped
+    # at n - 1 (one prefix up to 64² entries, two levels past that); where
+    # its block sums and prefix round apart from that cumsum, the target is
+    # within rounding of a cumulative value between the two picks, and the
+    # pick still has positive mass
+    d = _search_rows(n, seed=n)
+    for row in d:
+        cum = np.cumsum(row[:n])
+        u = _search_targets(row, n)
+        j, total = dpp_engine._search(np.repeat(row[None], u.size, axis=0), u, n)
+        assert np.allclose(total, cum[-1], rtol=1e-13, atol=0.0)
+        ref = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), n - 1)
+        for pick, expect, x, t in zip(j.tolist(), ref.tolist(), u, total):
+            if pick != expect:
+                between = cum[min(pick, expect) : max(pick, expect)]
+                assert np.allclose(between, x * cum[-1], rtol=1e-13, atol=0.0)
+            if x * t < t:
+                assert row[pick] > 0.0
+            else:
+                assert pick == expect == n - 1
+    assert np.array_equal(dpp_engine._search(d, np.ones(len(d)), n)[0], np.full(len(d), n - 1))
+
+
+def test_sample_many_across_search_blocks(monkeypatch):
+    # a rank above one search block at an n that is no multiple of it: the
+    # lockstep chain's draws against the projector chain's, which sums its
+    # residuals in one prefix
+    n, rank = 250, 70
+    assert n % dpp_engine._SEARCH_BLOCK and rank > dpp_engine._SEARCH_BLOCK
+    assert dpp_engine._PROJECTOR_DIV * rank < n
+    Q, _ = np.linalg.qr(SeededRng(6).generator().standard_normal((n, rank)))
+    dpp = validate_kernel(KernelMatrix(factor=Q * math.sqrt(n)))
+    _assert_many_matches_singles(monkeypatch, dpp, 60, seed=6)
+
+
 # eigenvalue / n: both ends exactly and within PROJECTION_SNAP of them, or
 # anywhere in [0, 1]
 _SNAP = dpp_engine.PROJECTION_SNAP
