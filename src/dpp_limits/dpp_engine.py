@@ -299,9 +299,9 @@ def _padded(n: int) -> int:
 
 def _search(d: np.ndarray, u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     # per row, searchsorted(cumsum(d[g]), u[g] * total, "right") capped at n - 1, and total.
-    # One prefix up to 64² entries (cheaper than the numpy calls of two levels); past that, block
-    # sums pick the block and a prefix over it the index, on positive mass where they round apart
-    if d.shape[1] <= _SEARCH_BLOCK or d.size <= _SEARCH_BLOCK**2:
+    # One prefix within one block; past that, block sums pick the block and a prefix over it
+    # the index, on positive mass where they round apart
+    if d.shape[1] <= _SEARCH_BLOCK:
         cum = np.add.accumulate(d[:, :n], axis=1)
         return np.add.reduce(cum[:, :-1] <= (u * cum[:, -1])[:, None], axis=1), cum[:, -1]
     rows, blocks = np.arange(len(d)), d.reshape(len(d), -1, _SEARCH_BLOCK)

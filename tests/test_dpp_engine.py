@@ -629,7 +629,7 @@ def _search_targets(row, n):
 @pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 1000])
 def test_search_matches_one_level_rule(n):
     # the search picks searchsorted(cumsum(d), u * total, "right") capped
-    # at n - 1 (one prefix up to 64² entries, two levels past that); where
+    # at n - 1 (one prefix up to one block, two levels past that); where
     # its block sums and prefix round apart from that cumsum, the target is
     # within rounding of a cumulative value between the two picks, and the
     # pick still has positive mass
