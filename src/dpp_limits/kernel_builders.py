@@ -70,44 +70,18 @@ class KernelMatrix:
             B = np.array(factor, dtype=float)
             if B.ndim != 2 or B.shape[1] > B.shape[0]:
                 raise ValueError(f"kernel factor must be n x m with m <= n, got shape {B.shape}")
-            _check_finite(B, "kernel factor entry")
+            _check_finite(B, "kernel factor entry at")
             B.setflags(write=False)
             self._factor = B
             return
-        K = np.asarray(entries, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got shape {K.shape}")
-        _check_finite(K, "kernel entry")
-        # one n x n buffer: |K - K^T| for the check, then the symmetrized K
-        buf = np.subtract(K, K.T, out=np.empty(K.shape))
-        scale = max(float(K.max()), -float(K.min())) if K.size else 0.0
-        _check_symmetry(float(np.abs(buf, out=buf).max()) if K.size else 0.0, scale)
-        np.add(K, K.T, out=buf)  # (K + K^T) / 2, C-ordered
-        buf /= 2.0
-        buf.setflags(write=False)
-        self._entries = buf
+        # a C-ordered copy, so the caller's array is never touched
+        self._entries = _dense_entries(np.array(entries, dtype=float, order="C"), "kernel entry at")
 
     @classmethod
-    def _adopt(cls, K: np.ndarray) -> KernelMatrix:
-        # dense kernel of a square, finite, C-ordered array that its builder
-        # hands over, checked and symmetrized in place with the same (a + b) / 2:
-        # row block r pairs its columns from r.start on with their mirror,
-        # which no earlier block has written
-        scale = max(float(K.max()), -float(K.min())) if K.size else 0.0
-        asym = 0.0
-        for r in _row_blocks(K.shape[0]):
-            upper, lower = K[r, r.start :], K[r.start :, r].T
-            buf = np.subtract(upper, lower)
-            asym = max(asym, float(np.abs(buf, out=buf).max()))
-            np.add(upper, lower, out=buf)
-            buf /= 2.0
-            K[r, r.start :] = buf
-            K[r.start :, r] = buf.T
-            del buf  # before the next block's
-        _check_symmetry(asym, scale)
-        K.setflags(write=False)
+    def _adopt(cls, K: np.ndarray, what: str = "kernel entry at") -> KernelMatrix:
+        # dense kernel of an array that its builder hands over, in place
         kernel = cls.__new__(cls)
-        kernel._factor, kernel._entries = None, K
+        kernel._factor, kernel._entries = None, _dense_entries(K, what)
         return kernel
 
     @property
@@ -134,18 +108,40 @@ class KernelMatrix:
         return np.einsum("ij,ij->i", self._factor, self._factor)
 
 
-def _check_symmetry(asym: float, scale: float) -> None:
+def _dense_entries(K: np.ndarray, what: str) -> np.ndarray:
+    # the one way an n x n array becomes a dense kernel's entries: checked
+    # square, finite and symmetric, symmetrized in place with (a + b) / 2 and
+    # made read-only.  Row block r pairs its columns from r.start on with
+    # their mirror, which no earlier block has written
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"kernel matrix must be square, got shape {K.shape}")
+    _check_finite(K, what)
+    scale = max(float(K.max()), -float(K.min())) if K.size else 0.0
+    asym = 0.0
+    for r in _row_blocks(K.shape[0]):
+        upper, lower = K[r, r.start :], K[r.start :, r].T
+        buf = np.subtract(upper, lower)
+        asym = max(asym, float(np.abs(buf, out=buf).max()))
+        np.add(upper, lower, out=buf)
+        buf /= 2.0
+        K[r, r.start :] = buf
+        K[r.start :, r] = buf.T
+        del buf  # before the next block's
     if asym > SYMMETRY_RTOL * scale:
         raise ValueError(
             f"kernel asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|K| = "
             f"{SYMMETRY_RTOL * scale:.3e}"
         )
+    K.setflags(write=False)
+    return K
 
 
 def _check_finite(A: np.ndarray, what: str) -> None:
-    if A.size and not np.isfinite(A).all():
-        i, j = np.argwhere(~np.isfinite(A))[0]
-        raise ValueError(f"non-finite {what} at ({i}, {j})")
+    # on row blocks, so no mask of A's size exists beside it
+    for rows in _row_blocks(len(A)):
+        if not np.isfinite(A[rows]).all():
+            i, j = np.argwhere(~np.isfinite(A[rows]))[0]
+            raise ValueError(f"non-finite {what} ({rows.start + i}, {j})")
 
 
 @dataclass(frozen=True)
@@ -155,8 +151,8 @@ class ContinuousKernel:
     ``pairwise(X, Y)`` returns the matrix ``k(x_i, y_j)`` for two stacked
     point arrays; ``diagonal(X)`` returns the vector ``k(x_i, x_i)``, so a
     1-point statistic reads no ``n x n`` matrix.  ``pairwise`` returns a new
-    array: :func:`gram_kernel` symmetrizes a writeable, C-ordered result in
-    place and keeps it as its kernel's entries.
+    array: :func:`gram_kernel` symmetrizes a writeable, C-ordered float
+    result in place and keeps it as its kernel's entries.
     """
 
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -208,13 +204,9 @@ def gaussian_kernel(bandwidth: float = 1.0, amplitude: float = 1.0) -> Continuou
 def gram_kernel(kernel: ContinuousKernel, cloud: PointCloud) -> KernelMatrix:
     """Restrict a kernel function to the cloud: ``G[i, j] = k(x_i, x_j)``."""
     pts = cloud.points
-    G = np.asarray(kernel.pairwise(pts, pts), dtype=float)
-    if not all(np.isfinite(G[rows]).all() for rows in _row_blocks(len(G))):
-        i, j = np.argwhere(~np.isfinite(G))[0]
-        raise ValueError(f"kernel evaluation not finite at point pair ({i}, {j})")
-    if G.shape == (cloud.n, cloud.n) and G.flags.writeable and G.flags.c_contiguous:
-        return KernelMatrix._adopt(G)
-    return KernelMatrix(G)
+    # kept as the entries unless it is not a writeable, C-ordered float array
+    G = np.require(kernel.pairwise(pts, pts), float, "CWE")
+    return KernelMatrix._adopt(G, "kernel evaluation at point pair")
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,52 @@ def test_projector_chain_errors_match_reference():
         assert _raised(dpp_engine._lockstep_chain, V, u[None]) == message
 
 
+def test_projector_chains_clamp_a_small_negative_diagonal(monkeypatch):
+    # a zero row whose diagonal reads -1e-14, inside NEGATIVE_PROB_TOL: both
+    # projector chains clamp it to 0 at step 0, and only there, and draw what
+    # the reference chain draws
+    V, _ = np.linalg.qr(SeededRng(12).generator().standard_normal((12, 3)))
+    V[5] = 0.0
+    P = V @ V.T
+    P[5, 5] = -1e-14
+    steps = []
+    check = dpp_engine._check_clamp
+
+    def recorded(dmin, rank, t):
+        steps.append(t)
+        check(dmin, rank, t)
+
+    monkeypatch.setattr(dpp_engine, "_check_clamp", recorded)
+    gen = SeededRng(13).generator()
+    for _ in range(50):
+        u = gen.random(3)
+        expect = _reference_chain(P, u)
+        steps.clear()
+        assert np.array_equal(dpp_engine._conditional_chain(P, u), expect)
+        assert steps == [0]
+        steps.clear()
+        assert dpp_engine._chain_small(P, u.tolist()) == expect.tolist()
+        assert steps == [0]
+
+
+def test_lockstep_repeated_index_replays_one_draw_at_a_time(monkeypatch):
+    # a lockstep block whose chain repeats an index is drawn again from its
+    # rows one sample at a time; an OPE projection kernel at 3 r < n takes
+    # the lockstep route for a batch and the projector chain for one draw
+    dpp = validate_kernel(ope_kernel(sample_uniform_cube(60, 2, SeededRng(60)), 8))
+    assert dpp.is_projection() and 3 * 8 < dpp.n
+    calls = []
+
+    def repeats(V, u):
+        calls.append(u.shape[0])
+        return np.zeros(u.shape, dtype=np.intp)
+
+    monkeypatch.setattr(dpp_engine, "_lockstep_chain", repeats)
+    gen = SeededRng(5).generator()
+    assert sample_dpp_many(dpp, SeededRng(5), 20) == [sample_dpp(dpp, gen) for _ in range(20)]
+    assert calls
+
+
 def test_single_draw_rejects_a_repeated_index(monkeypatch):
     # the one strict-increase check that replaces IndexSample's own
     monkeypatch.setattr(dpp_engine, "_conditional_chain", lambda P, u: np.array([3, 3]))

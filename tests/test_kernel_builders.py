@@ -66,7 +66,7 @@ def test_gram_rejects_non_finite_with_indices():
         pairwise=lambda X, Y: np.where((X[:, None] != Y[None]).any(axis=2), math.inf, 1.0),
         diagonal=lambda X: np.ones(X.shape[0]),
     )
-    with pytest.raises(ValueError, match=r"point pair \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"^non-finite kernel evaluation at point pair \(0, 1\)$"):
         gram_kernel(bad, cube(3, 1))
 
 
@@ -1027,22 +1027,45 @@ def test_kernel_matrix_asymmetry_message_matches_reference():
         )
 
 
-@pytest.mark.parametrize("layout", ["read-only", "F"])
+@pytest.mark.parametrize("layout", ["read-only", "F", "strided", "integer", "C"])
 def test_gram_copies_an_array_it_cannot_own(layout):
-    # gram_kernel symmetrizes a writeable C-ordered result of pairwise in
-    # place; any other result is copied and left as it was
+    # KernelMatrix(K) symmetrizes a C-ordered copy and leaves K's values and
+    # writeable flag as they were.  gram_kernel symmetrizes a writeable
+    # C-ordered float result of pairwise in place; any other result is
+    # copied and left as it was
     cloud = cube(70, 2, seed=16)
     held = gaussian_kernel(0.5).pairwise(cloud.points, cloud.points)
     held[3, 40] += 1e-14
     if layout == "F":
         held = np.asfortranarray(held)
-    else:
+    elif layout == "read-only":
         held.setflags(write=False)
-    before = held.copy()
+    elif layout == "strided":
+        held = np.repeat(np.repeat(held, 2, axis=0), 2, axis=1)[::2, ::2]
+    elif layout == "integer":
+        held = np.rint(1000.0 * held).astype(np.int64)
+    before, writeable = held.copy(), held.flags.writeable
+    assert np.array_equal(KernelMatrix(held).entries, _reference_symmetrized(before))
+    assert np.array_equal(held, before) and held.flags.writeable == writeable
     kernel = ContinuousKernel(pairwise=lambda X, Y: held, diagonal=lambda X: np.ones(len(X)))
     G = gram_kernel(kernel, cloud)
-    assert np.array_equal(held, before)
     assert np.array_equal(G.entries, _reference_symmetrized(before))
+    if layout == "C":
+        assert G.entries is held
+    else:
+        assert np.array_equal(held, before) and held.flags.writeable == writeable
+
+
+def test_gram_rejects_a_non_square_result_first():
+    # the shape is checked before the entries, as KernelMatrix checks it
+    cloud = cube(5, 2)
+    for fill in (1.0, math.nan):
+        kernel = ContinuousKernel(
+            pairwise=lambda X, Y: np.full((len(X), len(Y) + 1), fill),
+            diagonal=lambda X: np.ones(len(X)),
+        )
+        with pytest.raises(ValueError, match=r"kernel matrix must be square, got shape \(5, 6\)"):
+            gram_kernel(kernel, cloud)
 
 
 # --- memory: one n x n array per build -------------------------------------
@@ -1052,9 +1075,12 @@ def test_gram_copies_an_array_it_cannot_own(layout):
 # harmonic fallback holds two, W (as M) and eigh's eigenvectors.
 # latent_graph adds a row block's probabilities and uniforms, 64 rows of n
 # doubles each (0.064 apiece at n = 1000), to its adjacency matrix, and
-# symmetrizing adds one such block.  gram_kernel and usvt_kernel (its dense
-# path at n = 1000, after the block search gives up) held two n x n arrays
-# before they symmetrized their own in place (2.01 and 2.02; 1.08 now)
+# symmetrizing adds one such block.  Every dense kernel is checked and
+# symmetrized in place, on 64-row blocks, by one routine: KernelMatrix(K)
+# runs it on a copy of K (1.008 with a whole-matrix buffer, 1.075 now), and
+# gram_kernel and usvt_kernel (its dense path at n = 1000, after the block
+# search gives up) on their own array; they held two n x n arrays before
+# (2.01 and 2.02; 1.08 now)
 _PEAK_BOUNDS = {
     "harmonic_kernel_family": 1.5,
     "harmonic fallback": 2.5,

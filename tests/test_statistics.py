@@ -320,11 +320,16 @@ def test_det_bound_max_random_pairs():
 
 
 def test_det_bound_max_sampled_subsets():
+    # C(50, 5) = 2 118 760 exceeds the enumeration budget, so random subsets
+    # are drawn: the same stream gives the same pair, and none means SeededRng(0)
+    assert math.comb(50, 5) > statistics.SUBSET_ENUM_BUDGET
     gen = SeededRng(63).generator()
-    A = gen.standard_normal((40, 40))
-    B = A + 0.1 * gen.standard_normal((40, 40))
-    lhs, rhs = det_bound_max(A, B, 5, rng=SeededRng(64))  # C(40,5) > 1e6 -> sampled
+    A = gen.standard_normal((50, 50))
+    B = A + 0.1 * gen.standard_normal((50, 50))
+    lhs, rhs = det_bound_max(A, B, 5, rng=SeededRng(64))
     assert lhs <= rhs
+    assert det_bound_max(A, B, 5, rng=SeededRng(64)) == (lhs, rhs)
+    assert det_bound_max(A, B, 5) == det_bound_max(A, B, 5, rng=SeededRng(0))
 
 
 @settings(max_examples=60, deadline=None)
