@@ -411,21 +411,27 @@ def run_usvt(cfg: UsvtConfig) -> ResultTable:
 def _usvt_replicate(
     cfg: UsvtConfig, latent: ContinuousKernel, n: int, cloud_rng: SeededRng, graph_rng: SeededRng
 ) -> tuple[float, float]:
-    # one replicate's (frobenius, trace) errors; its cloud and n x n arrays
-    # are freed at return, so none is alive through the next replicate's eigh
-    gram = gram_kernel(latent, sample_uniform_cube(n, cfg.d, cloud_rng))
-    graph = latent_graph(gram, cfg.alpha, graph_rng)
-    # across eigh the Gram is kept as its strict upper triangle and its
-    # diagonal; both matrices are exactly symmetric, so the squared
-    # Frobenius error is twice the upper part's plus the diagonal's
-    packed, diag = gram.entries[~np.tri(n, dtype=bool)], gram.entries.diagonal().copy()
-    del gram
-    K = usvt_kernel(graph, cfg.alpha, cfg.c, cfg.rho)
-    del graph
-    packed -= K.entries[~np.tri(n, dtype=bool)]
-    diag -= K.entries.diagonal()
+    # one replicate's (frobenius, trace) errors; only the graph's bits live
+    # through usvt_kernel, and its cloud and n x n arrays are freed at return
+    cloud = sample_uniform_cube(n, cfg.d, cloud_rng)
+    graph = latent_graph(gram_kernel(latent, cloud), cfg.alpha, graph_rng)
+    K = usvt_kernel(graph, cfg.alpha, cfg.c, cfg.rho).entries
+    # the Gram's rows again, on 64-row blocks (the whole Gram's rows bit for
+    # bit where pairwise evaluates a row alike in both), less K's, kept as
+    # the strict upper triangle, row by row, and the diagonal: both matrices
+    # are exactly symmetric, so the squared Frobenius error is twice the
+    # upper part's plus the diagonal's
+    packed, diag, cols = np.empty(n * (n - 1) // 2), np.empty(n), np.arange(n)
+    for start in range(0, n, 64):
+        rows, end = slice(start, start + 64), start * n - start * (start + 1) // 2
+        G = latent.pairwise(cloud.points[rows], cloud.points)
+        G -= K[rows]
+        upper = G[cols > cols[rows, None]]
+        packed[end : end + upper.size] = upper
+        diag[rows] = G.diagonal(start)
+        del G, upper  # before the next block's
     frob = math.sqrt(2.0 * float(packed @ packed) + float(diag @ diag)) / n
-    return frob, abs(float(np.trace(K.entries)) / n - cfg.c)
+    return frob, abs(float(np.trace(K)) / n - cfg.c)
 
 
 # ---------------------------------------------------------------------------

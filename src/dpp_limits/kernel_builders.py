@@ -206,7 +206,10 @@ def gram_kernel(kernel: ContinuousKernel, cloud: PointCloud) -> KernelMatrix:
     pts = cloud.points
     # kept as the entries unless it is not a writeable, C-ordered float array
     G = np.require(kernel.pairwise(pts, pts), float, "CWE")
-    return KernelMatrix._adopt(G, "kernel evaluation at point pair")
+    gram = KernelMatrix._adopt(G, "kernel evaluation at point pair")
+    if gram.n != cloud.n:
+        raise ValueError(f"pairwise returned shape {G.shape}, expected {(cloud.n, cloud.n)}")
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +563,20 @@ def _projected_step(history: list[tuple[int, float]], tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Symmetric 0/1 adjacency matrix with zero diagonal."""
+    """Symmetric 0/1 adjacency matrix with zero diagonal, kept as bits.
 
-    entries: np.ndarray
+    The graph is stored packed, eight entries to a byte (``n^2 / 8`` bytes,
+    1/64 of a float64 matrix).  ``entries`` allocates and returns a new
+    ``n x n`` float64 array on every read, which its caller owns.
+    """
 
-    def __post_init__(self) -> None:
-        A = np.asarray(self.entries, dtype=float)
+    __slots__ = ("_bits",)
+
+    def __init__(self, entries: np.ndarray) -> None:
+        A = np.asarray(entries)
+        # a bool graph, as latent_graph draws it, is checked with no float copy
+        A = A if A.dtype == bool else A.astype(float, copy=False)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
         # both checks on row blocks, so no n x n mask exists beside A; a
@@ -579,13 +588,22 @@ class AdjacencyMatrix:
             raise ValueError("adjacency entries must be 0 or 1")
         if A.size and A.diagonal().any():
             raise ValueError("adjacency diagonal must be zero")
-        A = np.ascontiguousarray(A)
-        A.setflags(write=False)
-        object.__setattr__(self, "entries", A)
+        self._bits = np.packbits(A.astype(bool, copy=False), axis=1)
+        self._bits.setflags(write=False)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._fill(np.empty((self.n, self.n)))
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self._bits.shape[0]
+
+    def _fill(self, out: np.ndarray) -> np.ndarray:
+        # the 0/1 entries into an n x n float array, unpacked on row blocks
+        for rows in _row_blocks(self.n):
+            out[rows] = np.unpackbits(self._bits[rows], axis=1, count=self.n)
+        return out
 
 
 def latent_graph(gram: KernelMatrix, alpha: float, rng: SeededRng) -> AdjacencyMatrix:
@@ -593,7 +611,9 @@ def latent_graph(gram: KernelMatrix, alpha: float, rng: SeededRng) -> AdjacencyM
 
     Edges are independent with ``P(edge ij) = alpha * k(x_i, x_j)``, where
     ``gram`` holds ``k`` at the latent positions (see :func:`gram_kernel`);
-    all pair probabilities must lie in [0, 1].
+    all pair probabilities must lie in [0, 1].  The edges are written into
+    an ``n x n`` bool array and packed into the returned matrix's bits; no
+    float graph is made, and each read of its ``entries`` allocates one.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
@@ -607,16 +627,16 @@ def latent_graph(gram: KernelMatrix, alpha: float, rng: SeededRng) -> AdjacencyM
     # block by block, the strict upper triangle in row-major order reads the
     # stream of one draw of n (n - 1) / 2 uniforms
     gen = as_generator(rng)
-    A = np.zeros((n, n))
+    E = np.zeros((n, n), dtype=bool)
     for block, upper, probs in _upper_probabilities(gram.entries, alpha):
-        A[block][upper] = gen.random(probs.shape[0]) < probs
-    # mirror the upper triangle onto the zero lower one on row blocks (a
+        E[block][upper] = gen.random(probs.shape[0]) < probs
+    # mirror the upper triangle onto the empty lower one on row blocks (a
     # column-order scatter takes about twice as long)
     for rows in _row_blocks(n):
-        A[rows, : rows.start] = A[: rows.start, rows].T
-        tile = A[rows, rows]
-        tile += tile.T
-    return AdjacencyMatrix(A)
+        E[rows, : rows.start] = E[: rows.start, rows].T
+        tile = E[rows, rows]
+        tile |= tile.T
+    return AdjacencyMatrix(E)
 
 
 def _upper_probabilities(
@@ -645,23 +665,29 @@ def usvt_kernel(
     final multiplier clips the spectrum into ``[0, n]``.  The kept pairs
     come from a certified block Krylov search, or where that gives up,
     from one dense ``eigh``.
+
+    The call reads ``adjacency.entries`` once and owns that one float copy:
+    the certificate is formed and factored in its buffer, and ``K`` is
+    written there.  A failed certificate refills it from the graph's bits
+    before the dense ``eigh``.
     """
     n = adjacency.n
     gamma = _usvt_threshold(n, alpha, rho)
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must be in [0, 1]")
-    found = _pairs_above(adjacency.entries, gamma)
+    A = adjacency.entries
+    found = _pairs_above(A, gamma)
+    if found is not None and not _certified(A, *found, gamma):
+        adjacency._fill(A)  # the failed certificate overwrote the copy
+        found = None
     if found is None:
-        eigvals, eigvecs = np.linalg.eigh(adjacency.entries)
+        eigvals, eigvecs = np.linalg.eigh(A)
         kept = eigvals >= gamma
-        lam = eigvals[kept] / alpha
-        V = eigvecs[:, kept]
+        found = eigvals[kept], eigvecs[:, kept]
         del eigvecs
-        K = (V * lam) @ V.T
-    else:
-        theta, V, K = found  # K is the certificate's n x n buffer
-        lam = theta / alpha
-        np.matmul(V * lam, V.T, out=K)
+    theta, V = found
+    lam = theta / alpha
+    K = np.matmul(V * lam, V.T, out=A)
     # with nothing kept it is the zero matrix; symmetrizing leaves the
     # diagonal, and so the trace below, as it is
     correction = max(c - float(np.trace(K)) / n, 0.0)
@@ -673,22 +699,17 @@ def usvt_kernel(
     return KernelMatrix._adopt(K)
 
 
-def _pairs_above(
-    A: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Eigenpairs of ``A`` at or above ``gamma > 0``, certified, or None.
+def _pairs_above(A: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenpairs of ``A`` at or above ``gamma > 0``, uncertified, or None.
 
     Block Krylov (Musco & Musco, NeurIPS 2015) of width ``b`` from the
     ``_SUBSPACE_START`` block, with Rayleigh-Ritz at the residual's projected
     step, at most twice as far.  The Ritz pairs at or above ``gamma`` are
     accepted, orthonormal, once each ``||A u - theta u|| <= _RITZ_RTOL *
-    theta_1``.  A Cholesky of ``C = gamma I - (A - U Theta U^T)`` certifies
-    that none was missed, as ``lambda_{k+1}(A) <= lambda_1(A - U Theta U^T)``
-    (Weyl; ``U Theta U^T`` is positive of rank ``k``).  Returns the values,
-    ascending, the vectors and ``C``'s buffer; None, for the dense ``eigh``,
-    where ``b - 1`` are kept, the basis (with its image half an ``n x n``
-    array) reaches ``n / 4`` columns or is projected past them, or the
-    Cholesky fails.
+    theta_1``; :func:`_certified` then checks that none was missed.  Returns
+    the values, ascending, and the vectors; None, for the dense ``eigh``,
+    where ``b - 1`` are kept, or the basis (with its image half an ``n x n``
+    array) reaches ``n / 4`` columns or is projected past them.
     """
     n, b = A.shape[0], _KRYLOV_WIDTH
     cap = n // (4 * b)  # steps
@@ -721,21 +742,24 @@ def _pairs_above(
         U = Q[:, :m] @ S
         residual = float(np.linalg.norm(AQ[:, :m] @ S - U * theta, axis=0).max())
         if residual <= _RITZ_RTOL * theta[-1]:
-            if np.abs(U.T @ U - np.eye(count)).max() > GS_RTOL:
-                return None
-            break
+            return None if np.abs(U.T @ U - np.eye(count)).max() > GS_RTOL else (theta, U)
         history.append((step, residual))
         projected = _projected_step(history, _RITZ_RTOL * theta[-1])
         if projected > cap:
             return None
         check = min(2 * step, math.ceil(projected))
-    else:
-        return None
-    del Q, AQ, H  # before the n x n certificate
-    C = (U * theta) @ U.T
-    C -= A
-    C.flat[:: n + 1] += gamma
-    return (theta, U, C) if _cholesky_succeeds(C) else None
+    return None
+
+
+def _certified(A: np.ndarray, theta: np.ndarray, U: np.ndarray, gamma: float) -> bool:
+    # no eigenvalue of A at or above gamma is missing from theta where C =
+    # gamma I - (A - U Theta U^T) has a Cholesky factor, as lambda_{k+1}(A)
+    # <= lambda_1(A - U Theta U^T) (Weyl; U Theta U^T is positive of rank
+    # k).  C is formed on row blocks and factored in A's buffer
+    for rows in _row_blocks(A.shape[0]):
+        np.subtract((U[rows] * theta) @ U.T, A[rows], out=A[rows])
+    A.flat[:: A.shape[0] + 1] += gamma
+    return _cholesky_succeeds(A)
 
 
 def _cholesky_succeeds(C: np.ndarray) -> bool:

@@ -209,9 +209,10 @@ def test_run_usvt_smoke_and_determinism():
     assert t1.to_csv() == run_usvt(cfg).to_csv()
 
 
-def test_run_usvt_builds_one_gram_per_replicate(monkeypatch):
-    # the Gram matrix of the latent kernel serves both the graph draw and
-    # the recovery error
+def test_run_usvt_evaluates_the_gram_once_whole_and_once_on_row_blocks(monkeypatch):
+    # the whole Gram of the latent kernel serves the graph draw; once the
+    # kernel exists, its rows come again on 64-row blocks for the recovery
+    # error, each row once
     calls = []
     real = experiments.gaussian_kernel
 
@@ -219,24 +220,26 @@ def test_run_usvt_builds_one_gram_per_replicate(monkeypatch):
         kernel = real(**kwargs)
 
         def pairwise(X, Y):
-            calls.append(X.shape[0])
+            calls.append((X.shape[0], Y.shape[0]))
             return kernel.pairwise(X, Y)
 
         return ContinuousKernel(pairwise=pairwise, diagonal=kernel.diagonal)
 
     monkeypatch.setattr(experiments, "gaussian_kernel", counting_kernel)
-    run_usvt(UsvtConfig(n_grid=(30, 50), replicates=2, rho=0.15, seed=8))
-    assert calls == [30, 30, 50, 50]
+    run_usvt(UsvtConfig(n_grid=(30, 130), replicates=2, rho=0.15, seed=8))
+    small, large = [(30, 30)] * 2, [(130, 130), (64, 130), (64, 130), (2, 130)]
+    assert calls == small * 2 + large * 2
 
 
 def test_run_usvt_replicates_hold_no_stale_arrays():
-    # traced peak of two replicates at n = 400, in n x n doubles: the
-    # adjacency matrix, the packed Gram (half) and usvt_kernel's own one
-    # array; the previous replicate's Gram, graph and kernel no longer
-    # stay alive through the next one (5.10, then 3.60 with two arrays in
-    # usvt_kernel, 2.78 now). The first
-    # call in a process also traces one-time allocations (0.55 more), so a
-    # small run goes first and the bound holds whatever ran before.
+    # traced peak of two replicates at n = 400, in n x n doubles: the graph
+    # as bits, usvt_kernel's one float copy and its dense eigh's
+    # eigenvectors; the previous replicate's Gram, graph and kernel no
+    # longer stay alive through the next one (5.10, then 3.60 with two
+    # arrays in usvt_kernel, 2.78 with the graph as floats beside it, 2.24
+    # now). The first call in a process also traces one-time allocations
+    # (0.55 more), so a small run goes first and the bound holds whatever
+    # ran before.
     run_usvt(UsvtConfig(n_grid=(50,), replicates=1, rho=0.15, seed=8))
     n = 400
     tracemalloc.start()
@@ -245,7 +248,35 @@ def test_run_usvt_replicates_hold_no_stale_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8.0 * n * n) <= 3.0
+    assert peak / (8.0 * n * n) <= 2.35
+
+
+def test_usvt_block_path_replicate_traced_peak(monkeypatch):
+    # one n = 1600 replicate on the block path, in n x n doubles.  Its peak
+    # is the Krylov search: usvt_kernel's float copy of the graph, the basis
+    # and its image (half), their projection (1/16) and its eigenvectors
+    # (1.62 in all).  The Gram's row-block rebuild holds the kernel and the
+    # packed error (half) at 1.59.  With the graph as floats beside the
+    # packed Gram and the certificate's own n x n array it was 2.62
+    cfg = UsvtConfig(alpha=1.0, rho=0.15)
+    latent = gaussian_kernel(bandwidth=cfg.kernel_scale, amplitude=cfg.c)
+    experiments._usvt_replicate(cfg, latent, 50, SeededRng(50, 1), SeededRng(50, 2))
+    sizes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    n = 1600
+    tracemalloc.start()
+    try:
+        experiments._usvt_replicate(cfg, latent, n, SeededRng(n, 1), SeededRng(n, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) < n  # only the Rayleigh-Ritz problems
+    assert peak / (8.0 * n * n) <= 1.65
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -799,7 +800,8 @@ def test_usvt_block_path_keeps_the_dense_count_and_kernel(monkeypatch, graph_160
     A, dense, _ = graph_1600
     gamma = 0.15 * 1600**0.75
     sizes = _eigh_sizes(monkeypatch)
-    theta, V, _ = kernel_builders._pairs_above(A.entries, gamma)
+    theta, V = kernel_builders._pairs_above(A.entries, gamma)
+    assert kernel_builders._certified(A.entries, theta, V, gamma)
     K = usvt_kernel(A, 1.0, 0.6, 0.15).entries
     assert sizes and max(sizes) < 1600  # only the Rayleigh-Ritz problems
     assert len(theta) == usvt_retained_rank(A, 1.0, 0.15) == 6
@@ -807,6 +809,20 @@ def test_usvt_block_path_keeps_the_dense_count_and_kernel(monkeypatch, graph_160
     assert np.abs(V.T @ V - np.eye(6)).max() <= 1e-12
     assert np.linalg.norm(K - dense) <= 1e-12 * np.linalg.norm(dense)
     assert np.array_equal(K, K.T)
+
+
+def test_usvt_kernel_leaves_the_callers_graph_unchanged(monkeypatch, graph_1600):
+    # usvt_kernel owns the float copy that entries returns: it forms the
+    # certificate and the kernel there, on the block path (n = 1600) and on
+    # the dense one (n = 60, too small for the search)
+    sizes = _eigh_sizes(monkeypatch)
+    for A in (graph_1600[0], _random_graph(60, 5)):
+        before = A.entries
+        assert before is not A.entries and before.flags.writeable
+        sizes.clear()
+        usvt_kernel(A, 1.0, 0.6, 0.15)
+        assert (max(sizes) < A.n) == (A.n == 1600)
+        assert np.array_equal(A.entries, before)
 
 
 def test_usvt_block_path_traced_peak_at_most_the_dense_path(graph_1600):
@@ -867,10 +883,14 @@ def test_usvt_start_block_missing_a_kept_eigenvector_never_keeps_fewer(monkeypat
     for j in (-1, -kept):
         monkeypatch.setattr(kernel_builders, "_SUBSPACE_START", Orthogonal(eigvecs[:, j]))
         found = kernel_builders._pairs_above(A.entries, gamma)
-        assert found is None or len(found[0]) == kept
+        fewer = found is not None and len(found[0]) < kept
+        assert not fewer or not kernel_builders._certified(A.entries, *found, gamma)
     assert certified[-1] is False  # the certificate catches the missing pair
-    sizes = _eigh_sizes(monkeypatch)
+    # usvt_kernel's certificate fails in its float copy of the graph, which
+    # is refilled from the bits before the dense eigh
+    sizes, tried = _eigh_sizes(monkeypatch), len(certified)
     assert np.array_equal(usvt_kernel(A, 1.0, 0.6, 0.15).entries, dense)
+    assert certified[tried:] == [False]
     assert sizes[-1] == 1600
 
 
@@ -971,6 +991,24 @@ def test_latent_graph_matches_reference_bits_and_stream(n, alpha):
     assert gen.random() == ref_gen.random()
 
 
+@pytest.mark.parametrize(
+    "n, md5",
+    [(130, "2cd59e44ac657cd00cedb327e17f4df0"), (1000, "e2c0dd3554dd87cdd7df9895470a8297")],
+)
+def test_latent_graph_keeps_the_float_graphs_bytes_and_stream(n, md5):
+    # the md5 of the float64 entries that latent_graph gave when it held
+    # the graph as a float64 matrix, and the generator left where one draw
+    # of n (n - 1) / 2 uniforms leaves it.  An edge moves only where a
+    # uniform falls within rounding of its probability, so the md5s hold on
+    # hosts whose Gram bits differ in the last place
+    gram = gram_kernel(gaussian_kernel(0.5), cube(n, 2, seed=n, stream=4))
+    gen, ref_gen = SeededRng(n, 5).generator(), SeededRng(n, 5).generator()
+    A = latent_graph(gram, 0.8, gen).entries
+    assert A.dtype == np.float64 and hashlib.md5(A.tobytes()).hexdigest() == md5
+    ref_gen.random(n * (n - 1) // 2)
+    assert np.array_equal(gen.random(8), ref_gen.random(8))
+
+
 @pytest.mark.parametrize("low, high", [(-0.3, 0.9), (0.2, 1.6), (-0.3, 1.6)])
 def test_latent_graph_out_of_range_message_matches_reference(low, high):
     # one pair below 0 or above 1, far from the first row block; the message
@@ -1068,19 +1106,34 @@ def test_gram_rejects_a_non_square_result_first():
             gram_kernel(kernel, cloud)
 
 
+def test_gram_rejects_a_result_of_the_wrong_size():
+    # a square result on more or fewer points than the cloud's is no Gram
+    cloud = cube(5, 2)
+    for size in (7, 4):
+        kernel = ContinuousKernel(
+            pairwise=lambda X, Y: np.eye(size), diagonal=lambda X: np.ones(len(X))
+        )
+        with pytest.raises(ValueError, match=rf"shape \({size}, {size}\), expected \(5, 5\)"):
+            gram_kernel(kernel, cloud)
+
+
 # --- memory: one n x n array per build -------------------------------------
 
 # traced peaks at n = 1000, in units of n x n doubles; each bound fails for
 # the builders that kept two or three throwaway n x n arrays alive.  The
 # harmonic fallback holds two, W (as M) and eigh's eigenvectors.
-# latent_graph adds a row block's probabilities and uniforms, 64 rows of n
-# doubles each (0.064 apiece at n = 1000), to its adjacency matrix, and
-# symmetrizing adds one such block.  Every dense kernel is checked and
+# latent_graph writes its edges into an n x n bool array (1/8) beside a row
+# block's probabilities and uniforms, 64 rows of n doubles each (0.064
+# apiece at n = 1000), and packs them into bits (1/64): 1.14 when it wrote
+# float64 entries, 0.27 now.  Every dense kernel is checked and
 # symmetrized in place, on 64-row blocks, by one routine: KernelMatrix(K)
 # runs it on a copy of K (1.008 with a whole-matrix buffer, 1.075 now), and
-# gram_kernel and usvt_kernel (its dense path at n = 1000, after the block
-# search gives up) on their own array; they held two n x n arrays before
-# (2.01 and 2.02; 1.08 now)
+# gram_kernel on its own array; it held two n x n arrays before (2.01; 1.08
+# now).  usvt_kernel reads the graph once as floats and writes the kernel
+# into that copy; its dense path at n = 1000 (the block search gives up)
+# holds the copy and eigh's eigenvectors.  Drawn from the Gram in hand, the
+# graph and the kernel peak there at 2.02; with the graph held as floats by
+# the caller, beside usvt_kernel's eigenvectors and then its kernel, 2.08
 _PEAK_BOUNDS = {
     "harmonic_kernel_family": 1.5,
     "harmonic fallback": 2.5,
@@ -1088,9 +1141,9 @@ _PEAK_BOUNDS = {
     "squared_distances": 1.15,
     "KernelMatrix": 1.1,
     "gram_kernel": 1.15,
-    "latent_graph": 1.15,
+    "latent_graph": 0.3,
     "factored entries": 1.1,
-    "usvt_kernel": 1.15,
+    "latent_graph + usvt_kernel": 2.08,
 }
 
 
@@ -1100,7 +1153,7 @@ def dense_builds():
     gram = gram_kernel(gaussian_kernel(0.5), cloud)
     dense = np.array(gram.entries)
     factor = ope_kernel(cube(1000, 2, seed=55), 16).factor
-    graph = _random_graph(1000, 7)
+    graph_gram = gram_kernel(gaussian_kernel(amplitude=0.6), cube(1000, 2, seed=7))
     return {
         "harmonic_kernel_family": lambda: harmonic_kernel_family(cloud, (16,), h1, h2, prof, 2),
         "harmonic fallback": lambda: harmonic_kernel_family(cloud, (16,), 0.2, h2, prof, 2),
@@ -1110,7 +1163,9 @@ def dense_builds():
         "gram_kernel": lambda: gram_kernel(gaussian_kernel(0.5), cloud),
         "latent_graph": lambda: latent_graph(gram, 0.8, SeededRng(17)),
         "factored entries": lambda: KernelMatrix(factor=factor).entries,
-        "usvt_kernel": lambda: usvt_kernel(graph, 1.0, 0.6, 0.15),
+        "latent_graph + usvt_kernel": lambda: usvt_kernel(
+            latent_graph(graph_gram, 1.0, SeededRng(7, 1)), 1.0, 0.6, 0.15
+        ),
     }
 
 
