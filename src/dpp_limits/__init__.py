@@ -11,7 +11,6 @@ from .dpp_engine import (
     IndexSample,
     ValidatedDpp,
     enumerate_pmf,
-    inclusion_probability,
     random_valid_kernel,
     sample_dpp,
     sample_dpp_many,
@@ -24,7 +23,6 @@ from .estimators import (
     quantile_relative_error,
     sensitivity_scores,
     sphere_integrals,
-    true_loss,
 )
 from .kernel_builders import (
     AdjacencyMatrix,
@@ -40,7 +38,6 @@ from .kernel_builders import (
     harmonic_kernel_family,
     kde_density,
     latent_graph,
-    monomial_matrix,
     normalized_indicator_profile,
     ope_kernel,
     orthonormalize_columns,
@@ -89,14 +86,12 @@ __all__ = [
     "harmonic_kernel",
     "harmonic_kernel_details",
     "harmonic_kernel_family",
-    "inclusion_probability",
     "kde_density",
     "kernel_error",
     "latent_graph",
     "linear_statistic",
     "loss_on_grid",
     "measure_error",
-    "monomial_matrix",
     "normalized_indicator_profile",
     "ope_kernel",
     "orthonormalize_columns",
@@ -109,7 +104,6 @@ __all__ = [
     "sensitivity_scores",
     "sphere_integrals",
     "squared_distances",
-    "true_loss",
     "usvt_kernel",
     "usvt_retained_rank",
     "validate_kernel",

@@ -452,21 +452,6 @@ def sample_dpp_many(
     return out
 
 
-def inclusion_probability(kernel: KernelMatrix, indices) -> float:
-    """``P(A in sample) = det(K_A) / n^|A|`` for a distinct index set."""
-    idx = [int(i) for i in indices]
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate indices in {idx}")
-    n = kernel.n
-    if any(i < 0 or i >= n for i in idx):
-        raise ValueError(f"index out of range for n = {n}")
-    if not idx:
-        return 1.0
-    B = kernel.factor
-    sub = kernel.entries[np.ix_(idx, idx)] if B is None else B[idx] @ B[idx].T
-    return float(np.linalg.det(sub)) / n ** len(idx)
-
-
 def enumerate_pmf(dpp: ValidatedDpp) -> dict[tuple[int, ...], float]:
     """Exact probability of every subset, for ``n <= 20``.
 

@@ -19,15 +19,6 @@ from .point_cloud import PointCloud
 from .rng import SeededRng, as_generator
 
 
-def true_loss(cloud: PointCloud, theta: np.ndarray) -> float:
-    """Full 1-means loss ``sum_i ||x_i - theta||^2``."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (cloud.dim,):
-        raise ValueError(f"theta must have shape ({cloud.dim},), got {theta.shape}")
-    diff = cloud.points - theta
-    return float((diff * diff).sum())
-
-
 def sensitivity_scores(cloud: PointCloud) -> np.ndarray:
     """Sampling probabilities ``p_i ~ (1 + ||x_i||^2 / v) / n``.
 

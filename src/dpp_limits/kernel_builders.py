@@ -247,11 +247,6 @@ def _compositions(total: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def monomial_matrix(cloud: PointCloud, exponents: np.ndarray) -> np.ndarray:
-    """Evaluate monomials on the cloud; column ``j`` is monomial ``exponents[j]``."""
-    return np.prod(cloud.points[:, None, :] ** exponents, axis=2)
-
-
 def _legendre_tensor_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Tensor-Legendre evaluations spanning the same graded flag.
 

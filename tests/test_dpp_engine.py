@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dpp_limits import (
     dpp_engine,
     enumerate_pmf,
     harmonic_kernel,
-    inclusion_probability,
     normalized_indicator_profile,
     ope_kernel,
     random_valid_kernel,
@@ -84,37 +84,6 @@ def test_index_sample_requires_increasing_indices():
         IndexSample((1, 1))
 
 
-# --- inclusion probabilities -----------------------------------------------
-
-
-def test_inclusion_probability_empty_is_one():
-    K = random_valid_kernel(5, SeededRng(1))
-    assert inclusion_probability(K, []) == 1.0
-
-
-def test_inclusion_probability_singleton_and_pair():
-    K = random_valid_kernel(6, SeededRng(2))
-    E = K.entries
-    assert inclusion_probability(K, [2]) == pytest.approx(E[2, 2] / 6)
-    expect = (E[1, 1] * E[3, 3] - E[1, 3] ** 2) / 36
-    assert inclusion_probability(K, [1, 3]) == pytest.approx(expect)
-
-
-def test_inclusion_probability_reads_a_factor():
-    K = KernelMatrix(factor=_random_factor(40, 7, seed=6))
-    dense = _dense_twin(K)
-    for A in ([3], [0, 17, 39], [5, 2, 30, 11]):
-        assert abs(inclusion_probability(K, A) - inclusion_probability(dense, A)) <= 1e-12
-    # the n x n product is never built
-    assert K._entries is None
-
-
-def test_inclusion_probability_rejects_duplicates():
-    K = random_valid_kernel(4, SeededRng(2))
-    with pytest.raises(ValueError, match="duplicate"):
-        inclusion_probability(K, [1, 1])
-
-
 # --- enumerate_pmf ---------------------------------------------------------
 
 
@@ -140,7 +109,7 @@ def test_enumerate_sums_to_one_and_matches_marginals():
         assert abs(marginal - K.entries[i, i] / n) <= 1e-8
     for pair in itertools.combinations(range(n), 2):
         marginal = sum(p for s, p in pmf.items() if set(pair) <= set(s))
-        assert abs(marginal - inclusion_probability(K, pair)) <= 1e-8
+        assert abs(marginal - np.linalg.det(K.entries[np.ix_(pair, pair)]) / n**2) <= 1e-8
 
 
 def test_enumerate_rejects_large_n():
@@ -707,6 +676,60 @@ def test_sample_many_across_search_blocks(monkeypatch):
     Q, _ = np.linalg.qr(SeededRng(6).generator().standard_normal((n, rank)))
     dpp = validate_kernel(KernelMatrix(factor=Q * math.sqrt(n)))
     _assert_many_matches_singles(monkeypatch, dpp, 60, seed=6)
+
+
+# two-sided normal 4-sigma level, the acceptance suite's per-cell level
+_FOUR_SIGMA_ALPHA = 6.334e-5
+
+
+def _count_law(eigenvalues):
+    # Poisson-binomial law of a sum of independent Bernoulli(lambda_k)
+    pmf = np.ones(1)
+    for lam in np.clip(eigenvalues, 0.0, 1.0):
+        pmf = np.append(pmf * (1.0 - lam), 0.0) + np.append(0.0, pmf * lam)
+    return pmf
+
+
+def _chi_square_z(counts, pmf):
+    # chi-square over the cells expecting at least 5, each tail pooled into
+    # its end cell, as a Wilson-Hilferty normal deviate
+    expected = counts.sum() * pmf
+    starts = np.append(0, np.flatnonzero(expected >= 5.0)[1:])
+    obs, exp = np.add.reduceat(counts, starts), np.add.reduceat(expected, starts)
+    chi2, df = float(((obs - exp) ** 2 / exp).sum()), len(obs) - 1
+    return ((chi2 / df) ** (1 / 3) - 1 + 2 / (9 * df)) / math.sqrt(2 / (9 * df))
+
+
+def test_lockstep_counts_follow_the_exact_law(monkeypatch):
+    # the number of points a projection DPP puts in a region A is the sum of
+    # independent Bernoullis of the eigenvalues of K_A / n, those of
+    # B_A^T B_A / n for the factor B: lockstep draws at n = 250, r = 70 run
+    # the two-level search and its padding, and their counts in 24 balls
+    # holding 5-30% of the cloud must fit that law
+    n, rank, draws = 250, 70, 2000
+    cloud = sample_uniform_cube(n, 2, SeededRng(6))
+    K = ope_kernel(cloud, rank)
+    dpp = validate_kernel(K)
+    assert n > dpp_engine._SEARCH_BLOCK and dpp_engine._PROJECTOR_DIV * rank < n
+
+    def redraw(*args):
+        # a block that trips a check is drawn again by the single-draw chain,
+        # which would hide a lockstep fault from the counts
+        raise AssertionError("a lockstep block was drawn again one sample at a time")
+
+    monkeypatch.setattr(dpp_engine, "_draw_once", redraw)
+    picks = np.array([s.indices for s in sample_dpp_many(dpp, SeededRng(7), draws)])
+    sq = ((cloud.points[:24, None] - cloud.points) ** 2).sum(axis=2)
+    sizes = np.round(np.linspace(0.05, 0.30, 24) * n).astype(int)
+    z = []
+    for dist, size in zip(sq, sizes):
+        inside = np.zeros(n, dtype=bool)
+        inside[np.argsort(dist)[:size]] = True
+        B = K.factor[inside]
+        pmf = _count_law(np.linalg.eigvalsh(B.T @ B / n))
+        z.append(_chi_square_z(np.bincount(inside[picks].sum(axis=1), minlength=rank + 1), pmf))
+    bound = NormalDist().inv_cdf(1.0 - _FOUR_SIGMA_ALPHA / len(z))
+    assert max(z) <= bound
 
 
 # eigenvalue / n: both ends exactly and within PROJECTION_SNAP of them, or

@@ -21,7 +21,6 @@ from dpp_limits import (
     sample_uniform_sphere,
     sensitivity_scores,
     sphere_integrals,
-    true_loss,
     validate_kernel,
 )
 
@@ -39,31 +38,10 @@ def dpp_intensity(dpp):
     return dpp.kernel.diagonal() / dpp.n
 
 
-# --- true_loss --------------------------------------------------------------
-
-
-def test_true_loss_single_point_at_theta():
-    cloud = PointCloud(np.array([[0.3, -0.1]]))
-    assert true_loss(cloud, np.array([0.3, -0.1])) == 0.0
-
-
-def test_true_loss_two_points():
-    cloud = PointCloud(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    assert true_loss(cloud, np.zeros(2)) == 2.0
-
-
-def test_true_loss_minimized_at_centroid():
-    cloud = cube(50, seed=3)
-    centroid = cloud.points.mean(axis=0)
-    base = true_loss(cloud, centroid)
-    gen = SeededRng(4).generator()
-    for _ in range(25):
-        assert base <= true_loss(cloud, centroid + 0.1 * gen.standard_normal(2))
-
-
-def test_true_loss_dimension_mismatch():
-    with pytest.raises(ValueError):
-        true_loss(cube(5), np.zeros(3))
+def true_loss(cloud, theta):
+    # the estimators' target, the full 1-means loss sum_i ||x_i - theta||^2
+    diff = cloud.points - theta
+    return float((diff * diff).sum())
 
 
 # --- sensitivity_scores ------------------------------------------------------

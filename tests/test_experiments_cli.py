@@ -2,11 +2,15 @@ import hashlib
 import math
 import os
 import platform
+import runpy
 import tracemalloc
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpp_limits
 from dpp_limits import (
     ContinuousKernel,
     SeededRng,
@@ -548,3 +552,68 @@ def test_reduced_scale_csv_bytes_pinned(tmp_path):
         assert main([kind, "--config", cfg, "--out", str(out), "--quiet"]) == 0
         got[kind] = hashlib.md5(out.read_bytes()).hexdigest()
     assert got == _PINNED_MD5
+
+
+# --- public surface ----------------------------------------------------------
+
+_PUBLIC_NAMES = [
+    "AdjacencyMatrix",
+    "ContinuousKernel",
+    "HarmonicDetails",
+    "IndexSample",
+    "KernelMatrix",
+    "PointCloud",
+    "SeededRng",
+    "TestFunction",
+    "ValidatedDpp",
+    "constant_kernel",
+    "coreset_estimates",
+    "det_bound_frobenius",
+    "det_bound_max",
+    "draw_with_replacement",
+    "enumerate_pmf",
+    "expected_linear_statistic",
+    "expected_statistic_continuous",
+    "gaussian_kernel",
+    "graded_monomials",
+    "gram_kernel",
+    "harmonic_kernel",
+    "harmonic_kernel_details",
+    "harmonic_kernel_family",
+    "kde_density",
+    "kernel_error",
+    "latent_graph",
+    "linear_statistic",
+    "loss_on_grid",
+    "measure_error",
+    "normalized_indicator_profile",
+    "ope_kernel",
+    "orthonormalize_columns",
+    "quantile_relative_error",
+    "random_valid_kernel",
+    "sample_dpp",
+    "sample_dpp_many",
+    "sample_uniform_cube",
+    "sample_uniform_sphere",
+    "sensitivity_scores",
+    "sphere_integrals",
+    "squared_distances",
+    "usvt_kernel",
+    "usvt_retained_rank",
+    "validate_kernel",
+]
+
+
+def test_public_names():
+    assert dpp_limits.__all__ == _PUBLIC_NAMES
+    for name in _PUBLIC_NAMES:
+        assert hasattr(dpp_limits, name), name
+
+
+def test_benchmark_span_targets_exist():
+    # the benchmark tracer wraps these names by module; spans.py imports only
+    # the standard library, so it loads by path without the benchmark
+    spans = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "spans.py"))
+    for module, names in spans["TARGETS"].values():
+        for name in names:
+            assert hasattr(import_module(module), name), f"{module}.{name}"
