@@ -704,24 +704,26 @@ def _pairs_above(A: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray] |
     theta_1``; :func:`_certified` then checks that none was missed.  Returns
     the values, ascending, and the vectors; None, for the dense ``eigh``,
     where ``b - 1`` are kept, or the basis (with its image half an ``n x n``
-    array) reaches ``n / 4`` columns or is projected past them.
+    array) reaches ``n / 4`` vectors or is projected past them.
     """
     n, b = A.shape[0], _KRYLOV_WIDTH
     cap = n // (4 * b)  # steps
     if cap < 2 * b:
         return None
-    Q, AQ, H = np.empty((n, cap * b)), np.empty((n, cap * b)), np.empty((cap * b, cap * b))
-    Q[:, :b] = np.linalg.qr(_SUBSPACE_START.generator().standard_normal((n, b)))[0]
+    # the basis and its image as rows: A is symmetric, so a new block's
+    # image (A Q)^T is Q^T A, a product that streams A's rows in order
+    Qt, AQt, H = np.empty((cap * b, n)), np.empty((cap * b, n)), np.empty((cap * b, cap * b))
+    Qt[:b] = np.linalg.qr(_SUBSPACE_START.generator().standard_normal((n, b)))[0].T
     history: list[tuple[int, float]] = []
     check, count = 1, 0
     for step in range(1, cap + 1):
         m = step * b
         if step > 1:
-            Y = AQ[:, m - 2 * b : m - b] - Q[:, : m - b] @ H[: m - b, m - 2 * b : m - b]
-            Y -= Q[:, : m - b] @ (Q[:, : m - b].T @ Y)
-            Q[:, m - b : m] = np.linalg.qr(Y)[0]
-        AQ[:, m - b : m] = A @ Q[:, m - b : m]
-        H[:m, m - b : m] = Q[:, :m].T @ AQ[:, m - b : m]
+            Yt = AQt[m - 2 * b : m - b] - H[: m - b, m - 2 * b : m - b].T @ Qt[: m - b]
+            Yt -= (Yt @ Qt[: m - b].T) @ Qt[: m - b]
+            Qt[m - b : m] = np.linalg.qr(Yt.T)[0].T
+        np.matmul(Qt[m - b : m], A, out=AQt[m - b : m])
+        H[:m, m - b : m] = Qt[:m] @ AQt[m - b : m].T
         if step < check:
             continue
         theta, S = np.linalg.eigh(H[:m, :m], UPLO="U")
@@ -734,10 +736,10 @@ def _pairs_above(A: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray] |
             check = 2 * step
             continue
         theta, S = theta[kept], S[:, kept]
-        U = Q[:, :m] @ S
-        residual = float(np.linalg.norm(AQ[:, :m] @ S - U * theta, axis=0).max())
+        Ut = S.T @ Qt[:m]
+        residual = float(np.linalg.norm(S.T @ AQt[:m] - theta[:, None] * Ut, axis=1).max())
         if residual <= _RITZ_RTOL * theta[-1]:
-            return None if np.abs(U.T @ U - np.eye(count)).max() > GS_RTOL else (theta, U)
+            return None if np.abs(Ut @ Ut.T - np.eye(count)).max() > GS_RTOL else (theta, Ut.T)
         history.append((step, residual))
         projected = _projected_step(history, _RITZ_RTOL * theta[-1])
         if projected > cap:
@@ -759,17 +761,19 @@ def _certified(A: np.ndarray, theta: np.ndarray, U: np.ndarray, gamma: float) ->
 
 def _cholesky_succeeds(C: np.ndarray) -> bool:
     # Cholesky of C's lower triangle, left-looking on 64 x 64 tiles in place,
-    # so that no second n x n array exists
-    blocks = _row_blocks(C.shape[0])
-    for i, r in enumerate(blocks):
-        for c in blocks[:i]:
+    # so that no second n x n array exists; each diagonal tile's inverse is
+    # kept, and a tile below it is solved by one product with its transpose
+    blocks, inverses = _row_blocks(C.shape[0]), []
+    for r in blocks:
+        for c, inverse in zip(blocks, inverses):
             C[r, c] -= C[r, : c.start] @ C[c, : c.start].T
-            C[r, c] = np.linalg.solve(C[c, c], C[r, c].T).T
+            C[r, c] = C[r, c] @ inverse.T
         C[r, r] -= C[r, : r.start] @ C[r, : r.start].T
         try:
             C[r, r] = np.linalg.cholesky(C[r, r])
         except np.linalg.LinAlgError:
             return False
+        inverses.append(np.linalg.inv(C[r, r]))
     return True
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import platform
@@ -281,6 +282,19 @@ def test_usvt_block_path_replicate_traced_peak(monkeypatch):
         tracemalloc.stop()
     assert max(sizes) < n  # only the Rayleigh-Ritz problems
     assert peak / (8.0 * n * n) <= 1.65
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_run_usvt_reproduces_the_recorded_reference(tmp_path, seed):
+    # the benchmark's USVT config, n = 200 to 1600 (the last on the block
+    # path), against the values recorded per seed in the reference file
+    ref = json.loads((Path(__file__).parents[1] / "perfbench" / "usvt_reference.json").read_text())
+    path = write(tmp_path, "usvt.cfg", "[usvt]\n" + ref["config"].format(seed=seed))
+    lines = run_usvt(load_config(path, "usvt")).to_csv().splitlines()
+    got = {f"{row[1]}:{row[4]}": float(row[5]) for row in (line.split(",") for line in lines[1:])}
+    assert got.keys() == ref["seeds"][str(seed)].keys()
+    for key, want in ref["seeds"][str(seed)].items():
+        assert got[key] == pytest.approx(want, rel=ref["rtol"], abs=0.0), key
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])

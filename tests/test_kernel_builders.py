@@ -802,6 +802,9 @@ def test_usvt_block_path_keeps_the_dense_count_and_kernel(monkeypatch, graph_160
     gamma = 0.15 * 1600**0.75
     sizes = _eigh_sizes(monkeypatch)
     theta, V = kernel_builders._pairs_above(A.entries, gamma)
+    # the Rayleigh-Ritz checks, in blocks of 8 columns: every step until the
+    # residual first drops, then at its projected step, at most twice as far
+    assert [size // 8 for size in sizes] == [1, 2, 3, 4, 5, 10, 11, 12, 24, 36]
     assert kernel_builders._certified(A.entries, theta, V, gamma)
     K = usvt_kernel(A, 1.0, 0.6, 0.15).entries
     assert sizes and max(sizes) < 1600  # only the Rayleigh-Ritz problems
@@ -829,6 +832,38 @@ def test_usvt_kernel_leaves_the_callers_graph_unchanged(monkeypatch, graph_1600)
 def test_usvt_block_path_traced_peak_at_most_the_dense_path(graph_1600):
     A, _, dense_peak = graph_1600
     assert _traced_peak(lambda: usvt_kernel(A, 1.0, 0.6, 0.15)) <= dense_peak
+
+
+def _with_eigenpair(n, v, value, seed):
+    # a symmetric matrix with eigenvalues between about 1 and 2 on the
+    # complement of the unit vector v, and v an eigenvector for value
+    G = as_generator(SeededRng(seed)).standard_normal((n, n))
+    C = np.eye(n) + G @ G.T / (4 * n + 8 * math.sqrt(n))
+    P = np.eye(n) - np.outer(v, v)
+    return P @ C @ P + value * np.outer(v, v)
+
+
+@pytest.mark.parametrize("n", [200, 1037])
+def test_cholesky_certificate_matches_lapack_and_rejects_a_negative_eigenvalue(n):
+    # 64 x 64 tiles, the last one partial at both sizes (8 and 13 rows).
+    # An eigenvalue of -1e-9 ||C|| is far beyond the factor's rounding
+    # (about n eps ||C||): the factor breaks down whether its eigenvector
+    # spreads over every row or lies in the last tile's rows
+    spread = as_generator(SeededRng(n, 1)).standard_normal(n)
+    last = np.zeros(n)
+    last[-(n % 64) :] = as_generator(SeededRng(n, 2)).standard_normal(n % 64)
+    for v in (spread / np.linalg.norm(spread), last / np.linalg.norm(last)):
+        spd = _with_eigenpair(n, v, 1.5, seed=n)
+        L, C = np.linalg.cholesky(spd), spd.copy()
+        assert kernel_builders._cholesky_succeeds(C)
+        assert np.linalg.norm(np.tril(C) - L) <= 1e-12 * np.linalg.norm(L)
+        C = spd - (1.5 + 1e-9 * np.linalg.norm(spd, 2)) * np.outer(v, v)
+        assert np.linalg.eigvalsh(C)[0] < 0.0
+        assert not kernel_builders._cholesky_succeeds(C)
+    # in place: C's copy, the tile inverses (64 n doubles) and a few tiles
+    # of temporaries; at n = 1037 that is 1.08 n^2
+    peak = _traced_peak(lambda: kernel_builders._cholesky_succeeds(spd.copy()))
+    assert peak <= 8 * (n * n + 64 * n + 4 * 64 * 64)
 
 
 def _cliques(count, size):
