@@ -42,27 +42,17 @@ def draw_with_replacement(
     """``count`` draws of ``m`` indices iid from ``probabilities``.
 
     Returns a ``count x m`` index array; row ``s`` is draw ``s`` in draw
-    order, repeats included.  The indices and the generator's end state
-    are those of ``count`` calls of ``gen.choice(n, size=m, p=p)``, which
-    inverts the same normalized CDF at ``m`` uniforms per draw; so are
-    its checks on ``p``.
+    order, repeats included.  It is one ``gen.choice`` call, whose indices
+    and end state are those of ``count`` calls of size ``m``, and whose
+    checks on ``p`` apply; ``p`` goes in as float64, as choice judges a
+    float32 sum against float32's looser tolerance.
     """
     if m < 1:
         raise ValueError("sample size must be at least 1")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probabilities must be a nonempty 1-d array")
-    if np.isnan(p).any():
-        raise ValueError("probabilities contain NaN")
-    if (p < 0).any():
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > math.sqrt(np.finfo(float).eps):
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(as_generator(rng).random((count, m)), side="right")
+    return as_generator(rng).choice(p.size, size=(count, m), p=p)
 
 
 def loss_on_grid(points: np.ndarray, weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -133,15 +123,14 @@ def sphere_integrals(
 
 
 def quantile_relative_error(errors: Sequence[float], q: float) -> float:
-    """Ceiling order statistic: value at sorted index ``ceil(q * len) - 1``."""
+    """Ceiling order statistic, sorted index ``ceil(q * len) - 1``: the inverted-CDF quantile."""
     vals = [float(e) for e in errors]
     if not vals:
         raise ValueError("errors must be nonempty")
-    # NaN compares False both ways, so it would sort anywhere
+    # np.quantile would return NaN without saying where it came from
     for i, e in enumerate(vals):
         if math.isnan(e):
             raise ValueError(f"error is NaN at index {i}")
-    vals.sort()
     if not 0.0 < q < 1.0:
         raise ValueError("quantile must be in (0, 1)")
-    return vals[max(math.ceil(q * len(vals)) - 1, 0)]
+    return float(np.quantile(vals, q, method="inverted_cdf"))

@@ -418,20 +418,14 @@ def _usvt_replicate(
     graph = latent_graph(gram_kernel(latent, cloud), cfg.alpha, graph_rng)
     K = usvt_kernel(graph, cfg.alpha, cfg.c, cfg.rho).entries
     # the Gram's rows again, on the builders' row blocks (the whole Gram's
-    # rows bit for bit where pairwise evaluates a row alike in both), less
-    # K's, kept as the strict upper triangle, row by row, and the diagonal:
-    # both matrices are exactly symmetric, so the squared Frobenius error is
-    # twice the upper part's plus the diagonal's
-    packed, diag, cols = np.empty(n * (n - 1) // 2), np.empty(n), np.arange(n)
+    # rows bit for bit where pairwise evaluates a row alike in both), less K's
+    sq = 0.0
     for rows in _row_blocks(n):
-        end = rows.start * n - rows.start * (rows.start + 1) // 2
         G = latent.pairwise(cloud.points[rows], cloud.points)
         G -= K[rows]
-        upper = G[cols > cols[rows, None]]
-        packed[end : end + upper.size] = upper
-        diag[rows] = G.diagonal(rows.start)
-        del G, upper  # before the next block's
-    frob = math.sqrt(2.0 * float(packed @ packed) + float(diag @ diag)) / n
+        sq += float(np.vdot(G, G))
+        del G  # before the next block's
+    frob = math.sqrt(sq) / n
     return frob, abs(float(np.trace(K)) / n - cfg.c)
 
 

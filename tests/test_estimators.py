@@ -256,6 +256,26 @@ def test_quantile_is_element_and_above_median():
     assert q >= np.median(vals)
 
 
+@pytest.mark.parametrize(
+    "q, size",
+    [(0.9, k) for k in (10, 20, 40, 100, 1000)]
+    + [(0.5, 2), (0.5, 64)]
+    + [(q, k) for q in (0.25, 0.75) for k in (8, 400)]
+    # the exact products of the doubles lie just above 3 and just under 7
+    # and round onto them
+    + [(0.1, 30), (0.7, 10)]
+    # the rounded product is 7.000000000000001 and 28.999999999999996, one
+    # ulp above and below the integer
+    + [(0.07, 100), (0.29, 100)],
+)
+def test_quantile_ceiling_rule_at_integer_products(q, size):
+    # q * size on or beside an integer in floating point: the order
+    # statistic is the one the ceiling of the rounded product names
+    vals = SeededRng(8).generator().uniform(0.0, 1.0, size).tolist()
+    expect = sorted(vals)[max(math.ceil(q * size) - 1, 0)]
+    assert quantile_relative_error(vals, q) == expect
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     vals=st.lists(st.floats(0, 100), min_size=1, max_size=40),
@@ -295,19 +315,32 @@ def test_draw_with_replacement_is_the_choice_stream(m, count):
 @pytest.mark.parametrize(
     "m, p, count",
     [
-        (2, [0.5, math.nan, 0.5], 1),
-        (2, [0.6, -0.1, 0.5], 1),
-        (2, [[0.5, 0.5]], 1),
-        (2, [0.5, 0.5 + 1e-7], 1),
-        (2, [], 1),
-        (0, [0.5, 0.5], 1),
-        (2, [0.5, 0.5], -1),
+        (2, np.array([0.5, math.nan, 0.5]), 1),
+        (2, np.array([0.6, -0.1, 0.5]), 1),
+        (2, np.array([[0.5, 0.5]]), 1),
+        (2, np.array([0.5, 0.5 + 1e-7]), 1),
+        (2, np.array([]), 1),
+        (0, np.array([0.5, 0.5]), 1),
+        (2, np.array([0.5, 0.5]), -1),
+        # off by 1e-6: inside float32's sqrt(eps) but not float64's
+        (2, np.array([0.5, 0.500001], dtype=np.float32), 1),
+        (2, [0.5, 0.500001], 1),
     ],
-    ids=["nan", "negative", "2d", "sum-off-1e-7", "empty", "m-zero", "count-negative"],
+    ids=[
+        "nan",
+        "negative",
+        "2d",
+        "sum-off-1e-7",
+        "empty",
+        "m-zero",
+        "count-negative",
+        "float32-sum-off-1e-6",
+        "list-sum-off-1e-6",
+    ],
 )
 def test_draw_with_replacement_input_checks(m, p, count):
     with pytest.raises(ValueError):
-        draw_with_replacement(m, np.array(p), SeededRng(12), count)
+        draw_with_replacement(m, p, SeededRng(12), count)
 
 
 def test_draw_with_replacement_sum_slack_as_choice():

@@ -241,10 +241,10 @@ def test_run_usvt_replicates_hold_no_stale_arrays():
     # as bits, usvt_kernel's one float copy and its dense eigh's
     # eigenvectors; the previous replicate's Gram, graph and kernel no
     # longer stay alive through the next one (5.10, then 3.60 with two
-    # arrays in usvt_kernel, 2.78 with the graph as floats beside it, 2.24
-    # now). The first call in a process also traces one-time allocations
-    # (0.55 more), so a small run goes first and the bound holds whatever
-    # ran before.
+    # arrays in usvt_kernel, 2.78 with the graph as floats beside it, 2.07
+    # now; the row-block error stays below it). The first call in a process
+    # also traces one-time allocations (0.55 more), so a small run goes
+    # first and the bound holds whatever ran before.
     run_usvt(UsvtConfig(n_grid=(50,), replicates=1, rho=0.15, seed=8))
     n = 400
     tracemalloc.start()
@@ -260,9 +260,9 @@ def test_usvt_block_path_replicate_traced_peak(monkeypatch):
     # one n = 1600 replicate on the block path, in n x n doubles.  Its peak
     # is the Krylov search: usvt_kernel's float copy of the graph, the basis
     # and its image (half), their projection (1/16) and its eigenvectors
-    # (1.62 in all).  The Gram's row-block rebuild holds the kernel and the
-    # packed error (half) at 1.59.  With the graph as floats beside the
-    # packed Gram and the certificate's own n x n array it was 2.62
+    # (1.62 in all).  The Gram's row-block rebuild holds the kernel and one
+    # block at 1.10.  With the graph as floats beside the packed Gram and
+    # the certificate's own n x n array it was 2.62
     cfg = UsvtConfig(alpha=1.0, rho=0.15)
     latent = gaussian_kernel(bandwidth=cfg.kernel_scale, amplitude=cfg.c)
     experiments._usvt_replicate(cfg, latent, 50, SeededRng(50, 1), SeededRng(50, 2))
@@ -299,8 +299,8 @@ def test_run_usvt_reproduces_the_recorded_reference(tmp_path, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
 def test_usvt_replicate_error_matches_dense_rebuild(n):
-    # the Frobenius error read off the packed Gram equals the dense
-    # ||K - G||_F / n; at n = 1 there is no off-diagonal pair
+    # the Frobenius error summed over the Gram's row blocks equals the
+    # dense ||K - G||_F / n, with n on either side of the 64-row block edge
     cfg = UsvtConfig(alpha=0.8, rho=0.15)
     latent = gaussian_kernel(bandwidth=cfg.kernel_scale, amplitude=cfg.c)
     frob, trace = experiments._usvt_replicate(cfg, latent, n, SeededRng(n, 1), SeededRng(n, 2))
@@ -520,7 +520,7 @@ _PINNED_CONFIGS = {
 _PINNED_MD5 = {
     "coreset": "1f4a37da7d571512bfa92ed8b6c41b33",
     "sphere": "ecb0fd1d502e8b23d9d28dc429f22224",
-    "usvt": "e810942d1136d02d59b4fb21897db862",
+    "usvt": "ceefcb48be80111e8c743c5864376797",
     "checks": "937316f58c3002b8f79e32195cdfc97b",
 }
 # the last bits of eigensolvers and GEMMs depend on all four; the sphere
